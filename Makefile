@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test race vet fmt-check lint lint-json lint-incremental alloc-gate sanitize fuzz chaos chaos-serve verify bench bench-baseline bench-parallel bench-serve
+.PHONY: build test race vet fmt-check lint lint-json lint-incremental alloc-gate sanitize fuzz chaos chaos-serve verify bench bench-baseline bench-serve
 
 build:
 	$(GO) build ./...
@@ -20,14 +20,12 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Domain-aware static analysis: the seven syntactic passes, the three
-# interprocedural tgflow passes (cross-call unit propagation, NaN-taint
-# tracking, checkpoint field coverage), the four tgpar
-# concurrency/cache-contract passes (parwrite, redorder, cacheflush,
-# workerpure), the three tgperf hot-path passes (allocfree, boxcheck,
-# capgrow), and the four tgsync synchronization-lifecycle passes
-# (lockorder, unlockpath, blockheld, golife) — see
-# docs/STATIC_ANALYSIS.md.
+# Domain-aware static analysis: the seven syntactic passes, the four
+# tgflow passes (cross-call unit propagation, NaN-taint tracking,
+# checkpoint field coverage, cache-flush contracts), the three tgperf
+# hot-path passes (allocfree, boxcheck, capgrow), and the four tgsync
+# synchronization-lifecycle passes (lockorder, unlockpath, blockheld,
+# golife) — see docs/STATIC_ANALYSIS.md.
 lint:
 	$(GO) run ./cmd/tglint ./...
 
@@ -90,14 +88,10 @@ verify: vet fmt-check lint test race sanitize chaos chaos-serve
 bench:
 	$(GO) test -bench 'BenchmarkRunner' -benchtime 3x -run '^$$' ./internal/sim/
 
-# Regenerate the committed performance baseline from telemetry snapshots.
+# Regenerate the committed performance baseline (with the paired
+# cache-disabled control and allocation columns) and validate it.
 bench-baseline:
 	./scripts/bench_baseline.sh
-
-# Regenerate the committed worker-matrix report (with the paired
-# cache-disabled control) and validate it.
-bench-parallel:
-	./scripts/bench_parallel.sh
 
 # Regenerate the committed service baseline (BENCH_serve.json): latency
 # percentiles + throughput for 1000 concurrent small jobs, and the

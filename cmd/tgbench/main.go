@@ -1,35 +1,25 @@
 // Command tgbench records the simulator's performance baseline from the
 // telemetry layer: it runs a fixed set of short (policy, benchmark) cases
 // several times, keeps each case's best repetition, and writes the
-// per-epoch wall time, per-phase breakdown and solver-work counters as
-// JSON. The driver for the repo's perf trajectory:
+// per-epoch wall time, per-phase breakdown, solver-work counters, the
+// paired cache-disabled control and the steady-state allocations per
+// epoch as JSON. The driver for the repo's perf trajectory:
 //
 //	go run ./cmd/tgbench -out BENCH_baseline.json
+//	go run ./cmd/tgbench -check BENCH_baseline.json
 //
 // Every future perf PR reruns tgbench and compares against the committed
 // baseline; the per-phase figures say *where* a speedup (or regression)
-// landed.
-//
-// Two further modes (see docs/PERFORMANCE.md for the methodology):
-//
-//	go run ./cmd/tgbench -parallel          # writes BENCH_parallel.json:
-//	                                        # the worker-count matrix plus a
-//	                                        # paired cache-disabled control,
-//	                                        # with per-row speedups, the PDN
-//	                                        # mask-cache hit rate, and the
-//	                                        # paired-differencing steady-state
-//	                                        # allocs/bytes per epoch
-//	go run ./cmd/tgbench -check BENCH_parallel.json
-//	                                        # CI smoke: parse the committed
-//	                                        # report and assert its claims
-//	                                        # are self-consistent, including
-//	                                        # allocs_per_epoch < 0.5
+// landed. -check is the CI smoke over the committed file: it parses the
+// report and asserts its claims are self-consistent, including
+// allocs_per_epoch < 0.5 and a pdn-phase caching win over the control
+// (see docs/PERFORMANCE.md for the methodology).
 //
 // Ratios are only ever taken within one interleaved session: repetition
-// r of every cell (cache off, workers 0, 2, ...) runs before repetition
-// r+1 of any, so all cells sample the same machine-noise windows. A
-// cross-file comparison against the committed baseline has no such
-// pairing and is deliberately not computed.
+// r of every cell (cached, cache off, ...) runs before repetition r+1 of
+// any, so all cells sample the same machine-noise windows. A cross-file
+// comparison against the committed baseline has no such pairing and is
+// deliberately not computed.
 package main
 
 import (
@@ -41,8 +31,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"thermogater/internal/core"
@@ -84,7 +72,30 @@ type CaseResult struct {
 	// CacheHitRate is hits/(hits+misses) of the PDN per-mask resistance
 	// cache over the run; 0 when the counters never moved.
 	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
+	// NoCacheWallNSPerEpoch is the same run with pdn.CacheDisabled — the
+	// uncached control every caching claim is paired against.
+	NoCacheWallNSPerEpoch float64 `json:"nocache_wall_ns_per_epoch,omitempty"`
+	// CacheSpeedup is uncached/cached whole-run wall time, the median of
+	// the per-round paired ratios. The win is diluted across all six
+	// phases, so this ratio sits near 1.
+	CacheSpeedup float64 `json:"cache_speedup,omitempty"`
+	// CacheSpeedupPDNPhase is the same ratio on the pdn phase alone,
+	// where the cached work lives; -check requires it >= 1.
+	CacheSpeedupPDNPhase float64 `json:"cache_speedup_pdn_phase,omitempty"`
+	// AllocsPerEpoch and BytesPerEpoch are the steady-state heap cost of
+	// one epoch, measured by paired differencing: the same case runs
+	// (without telemetry) at durations D and 2D with runtime.MemStats
+	// read around each run, and (Δmallocs, Δbytes)/Δepochs between the
+	// two cancels every fixed cost — construction, θ-profiling, warm-up
+	// buffer growth, cache fill. The epoch loop's zero-allocation
+	// contract (internal/sim/alloc_test.go) pins this at ~0; -check
+	// fails any case at or above 0.5.
+	AllocsPerEpoch float64 `json:"allocs_per_epoch"`
+	BytesPerEpoch  float64 `json:"bytes_per_epoch"`
 }
+
+// BaselineSchema tags BENCH_baseline.json; -check rejects anything else.
+const BaselineSchema = "thermogater/bench/v2"
 
 // Baseline is the file tgbench writes.
 type Baseline struct {
@@ -92,14 +103,15 @@ type Baseline struct {
 	CreatedUnix int64  `json:"created_unix"`
 	GoVersion   string `json:"go_version"`
 	GOMAXPROCS  int    `json:"gomaxprocs"`
+	NumCPU      int    `json:"num_cpu"`
 	DurationMS  int    `json:"duration_ms"`
 	// Sanitizer records whether the binary was built with -tags tgsan;
 	// numbers from a sanitized build are not comparable to the committed
 	// baseline and must never overwrite it.
 	Sanitizer bool `json:"sanitizer"`
-	// NoiseFloorPct is the paired null measurement: a third cell running
-	// the exact same configuration as the plain one joins every
-	// interleaved round, and this records the median |per-round ratio −
+	// NoiseFloorPct is the paired null measurement (first case only): a
+	// cell running the exact same configuration as the plain one joins
+	// every interleaved round, and this records the median |per-round ratio −
 	// 1| between the two identical cells — what the paired estimator
 	// reports when the true effect is zero. Deltas below it (like a
 	// small fault_overhead_pct, positive or negative) are measurement
@@ -114,86 +126,19 @@ type Baseline struct {
 	Cases            []CaseResult `json:"cases"`
 }
 
-// ParallelSchema tags BENCH_parallel.json; -check rejects anything else.
-const ParallelSchema = "thermogater/bench-parallel/v1"
-
-// ParallelRow is one worker count of a case's matrix. WallNSPerEpoch is
-// the cell's own best repetition; SpeedupVsBaseline is the median over
-// rounds of the paired per-round ratio against the workers=0 cell (so
-// the two figures are estimated differently and their quotient need not
-// reproduce the ratio exactly).
-type ParallelRow struct {
-	Workers           int              `json:"workers"`
-	WallNSPerEpoch    float64          `json:"wall_ns_per_epoch"`
-	SpeedupVsBaseline float64          `json:"speedup_vs_baseline"`
-	CacheHitRate      float64          `json:"cache_hit_rate"`
-	PhaseNSPerEpoch   map[string]int64 `json:"phase_ns_per_epoch"`
-	// AllocsPerEpoch and BytesPerEpoch are the steady-state heap cost of
-	// one epoch, measured by paired differencing: the same cell runs
-	// (without telemetry) at durations D and 2D with runtime.MemStats
-	// read around each run, and (Δmallocs, Δbytes)/Δepochs between the
-	// two cancels every fixed cost — construction, θ-profiling, warm-up
-	// buffer growth, cache fill. The epoch loop's zero-allocation
-	// contract (internal/sim/alloc_test.go, the allocfree lint pass)
-	// pins this at ~0; -check fails any row at or above 0.5.
-	AllocsPerEpoch float64 `json:"allocs_per_epoch"`
-	BytesPerEpoch  float64 `json:"bytes_per_epoch"`
-}
-
-// ParallelCase is one (policy, benchmark) across the worker matrix plus
-// the paired cache control. The baseline of every speedup_vs_baseline is
-// this file's own workers=0 cell (same binary, same machine, interleaved
-// repetitions, per-round paired ratios); the cache_speedup figures
-// compare that cell against the same configuration with the per-mask
-// cache disabled, measured in the same interleaved session.
-type ParallelCase struct {
-	Name        string `json:"name"`
-	Policy      string `json:"policy"`
-	Benchmark   string `json:"benchmark"`
-	Epochs      int    `json:"epochs"`
-	Repetitions int    `json:"repetitions"`
-	// NoCacheWallNSPerEpoch is the sequential run with
-	// pdn.CacheDisabled — the uncached control every caching claim is
-	// paired against.
-	NoCacheWallNSPerEpoch float64 `json:"nocache_wall_ns_per_epoch"`
-	// CacheSpeedup is uncached/cached whole-run wall time. The win is
-	// diluted across all six phases, so this ratio sits near 1.
-	CacheSpeedup float64 `json:"cache_speedup"`
-	// CacheSpeedupPDNPhase is the same ratio on the pdn phase alone,
-	// where the cached work lives; -check requires it >= 1.
-	CacheSpeedupPDNPhase float64       `json:"cache_speedup_pdn_phase"`
-	Rows                 []ParallelRow `json:"rows"`
-}
-
-// ParallelReport is BENCH_parallel.json.
-type ParallelReport struct {
-	Schema        string         `json:"schema"`
-	CreatedUnix   int64          `json:"created_unix"`
-	GoVersion     string         `json:"go_version"`
-	GOMAXPROCS    int            `json:"gomaxprocs"`
-	NumCPU        int            `json:"num_cpu"`
-	DurationMS    int            `json:"duration_ms"`
-	Sanitizer     bool           `json:"sanitizer"`
-	NoiseFloorPct float64        `json:"noise_floor_pct"`
-	WorkersMatrix []int          `json:"workers_matrix"`
-	Cases         []ParallelCase `json:"cases"`
-}
-
 func main() {
 	var (
-		out      = flag.String("out", "", "output file (- for stdout; default BENCH_baseline.json, or BENCH_parallel.json with -parallel)")
+		out      = flag.String("out", "BENCH_baseline.json", "output file (- for stdout)")
 		duration = flag.Int("duration", 150, "run length per case in ms")
 		reps     = flag.Int("reps", 3, "timed repetitions per case (best is kept)")
 		warmup   = flag.Int("warmup", 1, "discarded warm-up repetitions per case")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		parallel = flag.Bool("parallel", false, "measure the worker-count matrix and write a bench-parallel report")
-		workers  = flag.String("workers", "0,2,4,8", "comma-separated worker counts for -parallel")
-		check    = flag.String("check", "", "validate a committed bench-parallel report and exit")
+		check    = flag.String("check", "", "validate a committed baseline and exit")
 	)
 	flag.Parse()
 
 	if *check != "" {
-		if err := checkParallelFile(*check); err != nil {
+		if err := checkBaselineFile(*check); err != nil {
 			fmt.Fprintln(os.Stderr, "tgbench:", err)
 			os.Exit(1)
 		}
@@ -201,34 +146,10 @@ func main() {
 		return
 	}
 
-	if *out == "" {
-		*out = "BENCH_baseline.json"
-		if *parallel {
-			*out = "BENCH_parallel.json"
-		}
-	}
-
-	var payload any
-	var nCases int
-	if *parallel {
-		matrix, err := parseWorkers(*workers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tgbench:", err)
-			os.Exit(1)
-		}
-		rep, err := measureParallel(defaultCases, *duration, *reps, *warmup, *seed, matrix)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tgbench:", err)
-			os.Exit(1)
-		}
-		payload, nCases = rep, len(rep.Cases)
-	} else {
-		b, err := measure(defaultCases, *duration, *reps, *warmup, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tgbench:", err)
-			os.Exit(1)
-		}
-		payload, nCases = b, len(b.Cases)
+	b, err := measure(defaultCases, *duration, *reps, *warmup, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tgbench:", err)
+		os.Exit(1)
 	}
 
 	var w io.Writer = os.Stdout
@@ -242,7 +163,7 @@ func main() {
 		}
 		w = f
 	}
-	if err := writeJSON(w, payload); err != nil {
+	if err := writeJSON(w, b); err != nil {
 		fmt.Fprintln(os.Stderr, "tgbench:", err)
 		os.Exit(1)
 	}
@@ -252,68 +173,71 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tgbench:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %s (%d cases)\n", *out, nCases)
+		fmt.Printf("wrote %s (%d cases)\n", *out, len(b.Cases))
 	}
-}
-
-func parseWorkers(s string) ([]int, error) {
-	var matrix []int
-	for _, part := range strings.Split(s, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || w < 0 {
-			return nil, fmt.Errorf("bad -workers entry %q", part)
-		}
-		matrix = append(matrix, w)
-	}
-	if len(matrix) == 0 {
-		return nil, fmt.Errorf("empty -workers matrix")
-	}
-	return matrix, nil
 }
 
 // measure runs every case warmup+reps times (warm-ups discarded) and
-// keeps the fastest timed repetition.
+// keeps the fastest timed repetition. Each case's cells run interleaved
+// in one session: the plain run, the cache-disabled control and a null
+// (the plain run again, for the noise floor); the first case adds an
+// armed-but-idle fault injector. The allocation pass follows each
+// session.
 func measure(cases []benchCase, durationMS, reps, warmup int, seed uint64) (*Baseline, error) {
 	b := &Baseline{
-		Schema:      "thermogater/bench/v1",
+		Schema:      BaselineSchema,
 		CreatedUnix: time.Now().Unix(),
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		NumCPU:      runtime.NumCPU(),
 		DurationMS:  durationMS,
 		Sanitizer:   invariant.Enabled,
 	}
-	for _, c := range cases {
-		best, _, err := measureCase(c, caseOpts{durationMS: durationMS, reps: reps, warmup: warmup, seed: seed})
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", c.Policy, c.Bench, err)
-		}
-		b.Cases = append(b.Cases, *best)
-	}
-	// Armed-but-idle fault injector on the first case: one event scheduled
-	// far past the end of the run, so only the plumbing cost is measured.
-	// Plain and armed repetitions are interleaved rather than batched, and
-	// the overhead is the median of the per-round paired ratios — the
-	// plumbing cost is far below this machine's minute-scale drift, so
-	// only adjacent-in-time pairs can resolve it at all (the recorded
-	// noise_floor_pct says how little even they can resolve).
+	// The idle schedule fires one event far past the end of the run, so
+	// only the plumbing cost is measured. The plumbing cost is far below
+	// this machine's minute-scale drift, so only adjacent-in-time pairs
+	// can resolve it at all (the recorded noise_floor_pct says how little
+	// even they can resolve).
 	idle := &fault.Schedule{Events: []fault.Event{{
 		Kind:  fault.VRStuckOff,
 		Epoch: durationMS + 1000,
 		Unit:  0,
 	}}}
-	plainOpt := caseOpts{durationMS: durationMS, reps: reps, warmup: warmup, seed: seed}
-	armedOpt := plainOpt
-	armedOpt.faults = idle
-	// The third cell is the null: plain again, so every round also pairs
-	// two runs of the identical configuration.
-	_, rounds, err := measureInterleaved(cases[0], []caseOpts{plainOpt, armedOpt, plainOpt})
-	if err != nil {
-		return nil, fmt.Errorf("fault overhead %s/%s: %w", cases[0].Policy, cases[0].Bench, err)
+	for i, c := range cases {
+		plain := caseOpts{durationMS: durationMS, reps: reps, warmup: warmup, seed: seed}
+		nocache := plain
+		nocache.nocache = true
+		opts := []caseOpts{plain, nocache, plain}
+		if i == 0 {
+			armed := plain
+			armed.faults = idle
+			opts = append(opts, armed)
+		}
+		bests, rounds, err := measureInterleaved(c, opts)
+		if err != nil {
+			return nil, fmt.Errorf("%s/%s: %w", c.Policy, c.Bench, err)
+		}
+		if bests[0] == nil || bests[1] == nil {
+			return nil, fmt.Errorf("%s/%s: no timed repetitions (reps=%d)", c.Policy, c.Bench, reps)
+		}
+		best := bests[0]
+		best.NoCacheWallNSPerEpoch = bests[1].WallNSPerEpoch
+		best.CacheSpeedup = medianRatio(rounds, 1, 0, wallOf)
+		best.CacheSpeedupPDNPhase = medianRatio(rounds, 1, 0, func(r *CaseResult) float64 {
+			return float64(r.PhaseNSPerEpoch["pdn"])
+		})
+		best.AllocsPerEpoch, best.BytesPerEpoch, err = measureAllocsPerEpoch(c, plain)
+		if err != nil {
+			return nil, fmt.Errorf("%s/%s allocation pass: %w", c.Policy, c.Bench, err)
+		}
+		if i == 0 {
+			b.NoiseFloorPct = nullFloorPct(rounds, 2, 0)
+			if ratio := medianRatio(rounds, 3, 0, wallOf); ratio > 0 {
+				b.FaultOverheadPct = 100 * (ratio - 1)
+			}
+		}
+		b.Cases = append(b.Cases, *best)
 	}
-	if ratio := medianRatio(rounds, 1, 0, wallOf); ratio > 0 {
-		b.FaultOverheadPct = 100 * (ratio - 1)
-	}
-	b.NoiseFloorPct = nullFloorPct(rounds, 2, 0)
 	return b, nil
 }
 
@@ -347,149 +271,38 @@ func median(xs []float64) float64 {
 	}
 }
 
-// measureParallel sweeps the worker matrix for every case, plus one
-// cache-disabled sequential cell as the paired control for the caching
-// claim. All cells of a case run interleaved in one session.
-func measureParallel(cases []benchCase, durationMS, reps, warmup int, seed uint64, matrix []int) (*ParallelReport, error) {
-	rep := &ParallelReport{
-		Schema:        ParallelSchema,
-		CreatedUnix:   time.Now().Unix(),
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		NumCPU:        runtime.NumCPU(),
-		DurationMS:    durationMS,
-		Sanitizer:     invariant.Enabled,
-		WorkersMatrix: matrix,
-	}
-	for _, c := range cases {
-		pc := ParallelCase{
-			Name:        "pipeline/" + c.Policy + "/" + c.Bench,
-			Policy:      c.Policy,
-			Benchmark:   c.Bench,
-			Repetitions: reps,
-		}
-		// Cell 0 is the cache-disabled control, cell 1 the null (a second
-		// workers=0 run per round, for the noise floor), and the matrix
-		// cells follow.
-		base := caseOpts{durationMS: durationMS, reps: reps, warmup: warmup, seed: seed}
-		nocacheOpt := base
-		nocacheOpt.nocache = true
-		opts := []caseOpts{nocacheOpt, base}
-		for _, w := range matrix {
-			o := base
-			o.workers = w
-			opts = append(opts, o)
-		}
-		bests, rounds, err := measureInterleaved(c, opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", pc.Name, err)
-		}
-		seqCell := -1
-		for i, w := range matrix {
-			if bests[i+2] == nil {
-				return nil, fmt.Errorf("%s workers=%d: no timed repetitions", pc.Name, w)
-			}
-			if pc.Epochs == 0 {
-				pc.Epochs = bests[i+2].Epochs
-			}
-			if w == 0 {
-				seqCell = i + 2
-				// The report-level floor comes from the first case's
-				// null pair.
-				if len(rep.Cases) == 0 {
-					rep.NoiseFloorPct = nullFloorPct(rounds, 1, seqCell)
-				}
-			}
-		}
-		for i, w := range matrix {
-			best := bests[i+2]
-			row := ParallelRow{
-				Workers:         w,
-				WallNSPerEpoch:  best.WallNSPerEpoch,
-				CacheHitRate:    best.CacheHitRate,
-				PhaseNSPerEpoch: best.PhaseNSPerEpoch,
-			}
-			if seqCell >= 0 {
-				row.SpeedupVsBaseline = medianRatio(rounds, seqCell, i+2, wallOf)
-			}
-			pc.Rows = append(pc.Rows, row)
-		}
-		for i := range pc.Rows {
-			o := base
-			o.workers = pc.Rows[i].Workers
-			al, by, err := measureAllocsPerEpoch(c, o)
-			if err != nil {
-				return nil, fmt.Errorf("%s workers=%d allocation pass: %w", pc.Name, o.workers, err)
-			}
-			pc.Rows[i].AllocsPerEpoch = al
-			pc.Rows[i].BytesPerEpoch = by
-		}
-		if nocache := bests[0]; nocache != nil && seqCell >= 0 {
-			pc.NoCacheWallNSPerEpoch = nocache.WallNSPerEpoch
-			pc.CacheSpeedup = medianRatio(rounds, 0, seqCell, wallOf)
-			pc.CacheSpeedupPDNPhase = medianRatio(rounds, 0, seqCell, func(r *CaseResult) float64 {
-				return float64(r.PhaseNSPerEpoch["pdn"])
-			})
-		}
-		rep.Cases = append(rep.Cases, pc)
-	}
-	return rep, nil
-}
-
-// checkParallelFile is the CI smoke over the committed report: it must
+// checkBaselineFile is the CI smoke over the committed baseline: it must
 // parse, carry the right schema, and every recorded claim must be
-// self-consistent — a workers=0 row at speedup 1, monotone-sane speedups
-// (the best row at least 1.0), hit rates inside [0, 1], a recorded
-// cache-disabled control, and a pdn-phase caching win over it.
-func checkParallelFile(path string) error {
+// self-consistent — positive wall times, hit rates inside [0, 1], a
+// recorded cache-disabled control, a pdn-phase caching win over it, and
+// a steady-state epoch that does not allocate.
+func checkBaselineFile(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	var rep ParallelReport
-	if err := json.Unmarshal(data, &rep); err != nil {
+	var b Baseline
+	if err := json.Unmarshal(data, &b); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	if rep.Schema != ParallelSchema {
-		return fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, ParallelSchema)
+	if b.Schema != BaselineSchema {
+		return fmt.Errorf("%s: schema %q, want %q", path, b.Schema, BaselineSchema)
 	}
-	if len(rep.Cases) == 0 {
+	if len(b.Cases) == 0 {
 		return fmt.Errorf("%s: no cases", path)
 	}
-	for _, c := range rep.Cases {
-		if len(c.Rows) == 0 {
-			return fmt.Errorf("%s: case %s has no rows", path, c.Name)
-		}
+	for _, c := range b.Cases {
 		if c.Epochs <= 0 {
 			return fmt.Errorf("%s: case %s has %d epochs", path, c.Name, c.Epochs)
 		}
-		bestSpeedup := 0.0
-		sawBase := false
-		for _, r := range c.Rows {
-			if r.WallNSPerEpoch <= 0 {
-				return fmt.Errorf("%s: case %s workers=%d has wall %v ns/epoch", path, c.Name, r.Workers, r.WallNSPerEpoch)
-			}
-			if r.CacheHitRate < 0 || r.CacheHitRate > 1 {
-				return fmt.Errorf("%s: case %s workers=%d hit rate %v outside [0,1]", path, c.Name, r.Workers, r.CacheHitRate)
-			}
-			if r.Workers == 0 {
-				sawBase = true
-				if math.Abs(r.SpeedupVsBaseline-1) > 1e-9 {
-					return fmt.Errorf("%s: case %s workers=0 speedup %v, want 1", path, c.Name, r.SpeedupVsBaseline)
-				}
-			}
-			if r.SpeedupVsBaseline > bestSpeedup {
-				bestSpeedup = r.SpeedupVsBaseline
-			}
-			if math.Abs(r.AllocsPerEpoch) >= 0.5 {
-				return fmt.Errorf("%s: case %s workers=%d allocates %.2f times per steady-state epoch — the zero-allocation contract (internal/sim/alloc_test.go, docs/PERFORMANCE.md) is broken", path, c.Name, r.Workers, r.AllocsPerEpoch)
-			}
+		if c.WallNSPerEpoch <= 0 {
+			return fmt.Errorf("%s: case %s has wall %v ns/epoch", path, c.Name, c.WallNSPerEpoch)
 		}
-		if !sawBase {
-			return fmt.Errorf("%s: case %s has no workers=0 row", path, c.Name)
+		if c.CacheHitRate < 0 || c.CacheHitRate > 1 {
+			return fmt.Errorf("%s: case %s hit rate %v outside [0,1]", path, c.Name, c.CacheHitRate)
 		}
-		if bestSpeedup < 1.0 {
-			return fmt.Errorf("%s: case %s best speedup %v < 1.0", path, c.Name, bestSpeedup)
+		if math.Abs(c.AllocsPerEpoch) >= 0.5 {
+			return fmt.Errorf("%s: case %s allocates %.2f times per steady-state epoch — the zero-allocation contract (internal/sim/alloc_test.go, docs/PERFORMANCE.md) is broken", path, c.Name, c.AllocsPerEpoch)
 		}
 		if c.NoCacheWallNSPerEpoch <= 0 {
 			return fmt.Errorf("%s: case %s has no cache-disabled control (%v ns/epoch)", path, c.Name, c.NoCacheWallNSPerEpoch)
@@ -519,7 +332,6 @@ func runMallocs(c benchCase, opt caseOpts) (mallocs, bytes uint64, err error) {
 	cfg.Seed = opt.seed
 	cfg.DurationMS = opt.durationMS
 	cfg.Faults = opt.faults
-	cfg.Workers = opt.workers
 	if opt.nocache {
 		cfg.PDN.MaskCacheSize = pdn.CacheDisabled
 	}
@@ -562,9 +374,9 @@ func measureAllocsPerEpoch(c benchCase, opt caseOpts) (allocs, bytes float64, er
 
 // caseOpts parameterises one measurement cell.
 type caseOpts struct {
-	durationMS, reps, warmup, workers int
-	seed                              uint64
-	faults                            *fault.Schedule
+	durationMS, reps, warmup int
+	seed                     uint64
+	faults                   *fault.Schedule
 	// nocache disables the PDN per-mask resistance cache — the paired
 	// control for the caching claim.
 	nocache bool
@@ -586,7 +398,6 @@ func runOnce(c benchCase, opt caseOpts) (*CaseResult, error) {
 	cfg.DurationMS = opt.durationMS
 	cfg.Telemetry = reg
 	cfg.Faults = opt.faults
-	cfg.Workers = opt.workers
 	if opt.nocache {
 		cfg.PDN.MaskCacheSize = pdn.CacheDisabled
 	}
@@ -642,16 +453,6 @@ func measureInterleaved(c benchCase, opts []caseOpts) (bests []*CaseResult, roun
 	return bests, rounds, nil
 }
 
-// cellWalls extracts cell i's timed wall figures from the rounds, in
-// round order, for noise-floor estimation.
-func cellWalls(rounds [][]*CaseResult, i int) []float64 {
-	walls := make([]float64, 0, len(rounds))
-	for _, row := range rounds {
-		walls = append(walls, row[i].WallNSPerEpoch)
-	}
-	return walls
-}
-
 // medianRatio aggregates a cross-cell ratio over the timed rounds:
 // f(numerator cell)/f(denominator cell) within each round, median across
 // rounds. Rounds where either figure is non-positive are skipped.
@@ -669,19 +470,6 @@ func medianRatio(rounds [][]*CaseResult, num, den int, f func(*CaseResult) float
 // wallOf reads a result's per-epoch wall time (the default medianRatio
 // metric).
 func wallOf(r *CaseResult) float64 { return r.WallNSPerEpoch }
-
-// measureCase returns the best timed repetition of a single cell and its
-// timed wall figures.
-func measureCase(c benchCase, opt caseOpts) (*CaseResult, []float64, error) {
-	bests, rounds, err := measureInterleaved(c, []caseOpts{opt})
-	if err != nil {
-		return nil, nil, err
-	}
-	if bests[0] == nil {
-		return nil, nil, fmt.Errorf("no timed repetitions (reps=%d)", opt.reps)
-	}
-	return bests[0], cellWalls(rounds, 0), nil
-}
 
 // fromSnapshot distils one run's telemetry snapshot into per-epoch figures.
 func fromSnapshot(sn telemetry.Snapshot) (*CaseResult, error) {

@@ -21,7 +21,7 @@ func TestMeasureProducesCompleteBaseline(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
-	if back.Schema != "thermogater/bench/v1" {
+	if back.Schema != BaselineSchema {
 		t.Errorf("schema = %q", back.Schema)
 	}
 	if len(back.Cases) != 1 {
@@ -56,18 +56,6 @@ func TestMeasureRejectsUnknownCase(t *testing.T) {
 	}
 	if _, err := measure([]benchCase{{"all-on", "nope"}}, 30, 1, 0, 1); err == nil {
 		t.Error("unknown benchmark accepted")
-	}
-}
-
-func TestParseWorkers(t *testing.T) {
-	got, err := parseWorkers("0, 2,8")
-	if err != nil || len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 8 {
-		t.Fatalf("parseWorkers = %v, %v", got, err)
-	}
-	for _, bad := range []string{"", "x", "-1", "1,,2"} {
-		if _, err := parseWorkers(bad); err == nil {
-			t.Errorf("parseWorkers(%q) accepted", bad)
-		}
 	}
 }
 
@@ -107,29 +95,20 @@ func TestPairedEstimators(t *testing.T) {
 	}
 }
 
-// TestMeasureParallelMatrix: a tiny matrix sweep must produce a
-// self-consistent report — the exact property -check later enforces on
-// the committed file.
-func TestMeasureParallelMatrix(t *testing.T) {
-	rep, err := measureParallel([]benchCase{{"oracT", "fft"}}, 30, 1, 0, 1, []int{0, 2})
+// TestMeasureCacheControlAndAllocs: the paired cache-disabled control and
+// the allocation pass must produce a self-consistent case — the exact
+// properties -check later enforces on the committed file.
+func TestMeasureCacheControlAndAllocs(t *testing.T) {
+	b, err := measure([]benchCase{{"oracT", "fft"}}, 30, 1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Schema != ParallelSchema {
-		t.Errorf("schema = %q", rep.Schema)
+	if len(b.Cases) != 1 {
+		t.Fatalf("cases = %d, want 1", len(b.Cases))
 	}
-	if len(rep.Cases) != 1 || len(rep.Cases[0].Rows) != 2 {
-		t.Fatalf("report shape wrong: %+v", rep)
-	}
-	c := rep.Cases[0]
-	if c.Rows[0].Workers != 0 || c.Rows[0].SpeedupVsBaseline != 1 {
-		t.Errorf("workers=0 row: %+v", c.Rows[0])
-	}
-	if c.Rows[1].Workers != 2 || c.Rows[1].SpeedupVsBaseline <= 0 {
-		t.Errorf("workers=2 row: %+v", c.Rows[1])
-	}
-	if c.Rows[0].CacheHitRate <= 0.5 {
-		t.Errorf("cache hit rate = %v, want the per-mask cache mostly hitting", c.Rows[0].CacheHitRate)
+	c := b.Cases[0]
+	if c.CacheHitRate <= 0.5 {
+		t.Errorf("cache hit rate = %v, want the per-mask cache mostly hitting", c.CacheHitRate)
 	}
 	if c.NoCacheWallNSPerEpoch <= 0 {
 		t.Errorf("nocache control wall = %v, want positive", c.NoCacheWallNSPerEpoch)
@@ -145,28 +124,25 @@ func TestMeasureParallelMatrix(t *testing.T) {
 		t.Errorf("cache_speedup_pdn_phase = %v, want > 1", c.CacheSpeedupPDNPhase)
 	}
 	// The paired-differencing allocation figures must witness the epoch
-	// loop's zero-allocation contract at every worker count. This test's
-	// 30 ms window over-weights the annotated rare paths whose rate
-	// decays over a run (worst-noise snapshots, burst-buffer regrowth),
-	// so the bound here is looser than -check's 0.5: at the committed
-	// report's 150 ms duration the same figures land below 0.2 (see
-	// docs/PERFORMANCE.md).
-	for _, r := range c.Rows {
-		if r.AllocsPerEpoch >= 2 || r.AllocsPerEpoch <= -2 {
-			t.Errorf("workers=%d: allocs_per_epoch = %v, want ~0", r.Workers, r.AllocsPerEpoch)
-		}
-		if r.BytesPerEpoch >= 4096 || r.BytesPerEpoch <= -4096 {
-			t.Errorf("workers=%d: bytes_per_epoch = %v, want ~0", r.Workers, r.BytesPerEpoch)
-		}
+	// loop's zero-allocation contract. This test's 30 ms window
+	// over-weights the annotated rare paths whose rate decays over a run
+	// (worst-noise snapshots, burst-buffer regrowth), so the bound here is
+	// looser than -check's 0.5: at the committed baseline's 150 ms
+	// duration the same figures land below 0.2 (see docs/PERFORMANCE.md).
+	if c.AllocsPerEpoch >= 2 || c.AllocsPerEpoch <= -2 {
+		t.Errorf("allocs_per_epoch = %v, want ~0", c.AllocsPerEpoch)
+	}
+	if c.BytesPerEpoch >= 4096 || c.BytesPerEpoch <= -4096 {
+		t.Errorf("bytes_per_epoch = %v, want ~0", c.BytesPerEpoch)
 	}
 }
 
-func TestCheckParallelFile(t *testing.T) {
-	write := func(t *testing.T, rep *ParallelReport) string {
+func TestCheckBaselineFile(t *testing.T) {
+	write := func(t *testing.T, b *Baseline) string {
 		t.Helper()
-		path := t.TempDir() + "/p.json"
+		path := t.TempDir() + "/b.json"
 		var buf bytes.Buffer
-		if err := writeJSON(&buf, rep); err != nil {
+		if err := writeJSON(&buf, b); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -174,54 +150,51 @@ func TestCheckParallelFile(t *testing.T) {
 		}
 		return path
 	}
-	good := &ParallelReport{
-		Schema: ParallelSchema,
-		Cases: []ParallelCase{{
-			Name: "pipeline/oracT/fft", Epochs: 30,
+	good := &Baseline{
+		Schema: BaselineSchema,
+		Cases: []CaseResult{{
+			Name: "runner/oracT/fft", Epochs: 30,
+			WallNSPerEpoch:        100,
+			CacheHitRate:          0.9,
 			NoCacheWallNSPerEpoch: 120,
 			CacheSpeedup:          1.2,
 			CacheSpeedupPDNPhase:  1.8,
-			Rows: []ParallelRow{
-				{Workers: 0, WallNSPerEpoch: 100, SpeedupVsBaseline: 1, CacheHitRate: 0.9},
-				{Workers: 4, WallNSPerEpoch: 40, SpeedupVsBaseline: 2.5, CacheHitRate: 0.9},
-			},
 		}},
 	}
-	if err := checkParallelFile(write(t, good)); err != nil {
-		t.Errorf("valid report rejected: %v", err)
+	if err := checkBaselineFile(write(t, good)); err != nil {
+		t.Errorf("valid baseline rejected: %v", err)
 	}
 
-	for name, mutate := range map[string]func(*ParallelReport){
-		"wrong schema":      func(r *ParallelReport) { r.Schema = "nope" },
-		"no cases":          func(r *ParallelReport) { r.Cases = nil },
-		"no base row":       func(r *ParallelReport) { r.Cases[0].Rows = r.Cases[0].Rows[1:] },
-		"base speedup != 1": func(r *ParallelReport) { r.Cases[0].Rows[0].SpeedupVsBaseline = 1.2 },
-		"hit rate > 1":      func(r *ParallelReport) { r.Cases[0].Rows[1].CacheHitRate = 1.5 },
-		"missing cache control": func(r *ParallelReport) {
-			r.Cases[0].NoCacheWallNSPerEpoch = 0
+	for name, mutate := range map[string]func(*Baseline){
+		"wrong schema": func(b *Baseline) { b.Schema = "thermogater/bench/v1" },
+		"no cases":     func(b *Baseline) { b.Cases = nil },
+		"zero epochs":  func(b *Baseline) { b.Cases[0].Epochs = 0 },
+		"zero wall":    func(b *Baseline) { b.Cases[0].WallNSPerEpoch = 0 },
+		"hit rate > 1": func(b *Baseline) { b.Cases[0].CacheHitRate = 1.5 },
+		"missing cache control": func(b *Baseline) {
+			b.Cases[0].NoCacheWallNSPerEpoch = 0
 		},
-		"pdn-phase cache regression": func(r *ParallelReport) {
-			r.Cases[0].CacheSpeedupPDNPhase = 0.8
+		"pdn-phase cache regression": func(b *Baseline) {
+			b.Cases[0].CacheSpeedupPDNPhase = 0.8
 		},
-		"zero wall": func(r *ParallelReport) { r.Cases[0].Rows[0].WallNSPerEpoch = 0 },
-		"steady-state allocations": func(r *ParallelReport) {
-			r.Cases[0].Rows[1].AllocsPerEpoch = 3
+		"steady-state allocations": func(b *Baseline) {
+			b.Cases[0].AllocsPerEpoch = 3
 		},
 	} {
-		var rep ParallelReport
+		var b Baseline
 		var buf bytes.Buffer
 		if err := writeJSON(&buf, good); err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
+		if err := json.Unmarshal(buf.Bytes(), &b); err != nil {
 			t.Fatal(err)
 		}
-		mutate(&rep)
-		if err := checkParallelFile(write(t, &rep)); err == nil {
+		mutate(&b)
+		if err := checkBaselineFile(write(t, &b)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if err := checkParallelFile(t.TempDir() + "/missing.json"); err == nil {
+	if err := checkBaselineFile(t.TempDir() + "/missing.json"); err == nil {
 		t.Error("missing file accepted")
 	}
 }

@@ -1,11 +1,10 @@
 // Command tglint runs the repository's domain-aware static-analysis
 // passes — seven syntactic ones (unitcheck, detcheck, floatcheck,
-// errsink, aliascheck, goroutinecheck, invcheck), three
-// interprocedural tgflow passes (unitflow, nanflow, statecover), the
-// tgpar concurrency/cache-contract family (parwrite, redorder,
-// cacheflush, workerpure), the tgperf hot-path family (allocfree,
-// boxcheck, capgrow), and the tgsync synchronization-lifecycle family
-// (lockorder, unlockpath, blockheld, golife); see
+// errsink, aliascheck, goroutinecheck, invcheck), four tgflow passes
+// (unitflow, nanflow, statecover, cacheflush), the tgperf hot-path
+// family (allocfree, boxcheck, capgrow), and the tgsync
+// synchronization-lifecycle family (lockorder, unlockpath, blockheld,
+// golife); see
 // docs/STATIC_ANALYSIS.md — over go list package patterns:
 //
 //	tglint ./...

@@ -36,7 +36,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", "localhost:8080", "listen address")
 		workers      = flag.Int("workers", 2, "worker goroutines")
-		simWorkers   = flag.Int("sim-workers", 0, "per-run pipeline workers (0 = inline)")
 		queueLimit   = flag.Int("queue", 256, "queue capacity before load shedding")
 		maxAttempts  = flag.Int("max-attempts", 3, "attempts per job before it fails")
 		backoff      = flag.Duration("backoff", 100*time.Millisecond, "first retry backoff (doubles per attempt)")
@@ -68,7 +67,6 @@ func main() {
 			addr: *addr,
 			cfg: serve.Config{
 				Workers:         *workers,
-				SimWorkers:      *simWorkers,
 				QueueLimit:      *queueLimit,
 				MaxAttempts:     *maxAttempts,
 				RetryBackoff:    *backoff,

@@ -58,7 +58,7 @@ func runAllocfree(pass *Pass) {
 
 // allocCheck classifies one node of a hot body and reports the Escapes
 // tier.
-func allocCheck(pass *Pass, anns parAnnIndex, e *hotEntry, n ast.Node, ctx *hotCtx, seen map[string]bool) {
+func allocCheck(pass *Pass, anns annIndex, e *hotEntry, n ast.Node, ctx *hotCtx, seen map[string]bool) {
 	info := e.pkg.Info
 	flag := func(pos token.Pos, msg string) {
 		if ctx.cold || ctx.exempt[n] {

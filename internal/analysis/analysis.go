@@ -1,6 +1,6 @@
 // Package analysis is tglint's pass framework: a small, stdlib-only
 // counterpart of golang.org/x/tools/go/analysis tailored to this
-// repository's domain invariants. Twenty-one passes ride on it:
+// repository's domain invariants. Eighteen passes ride on it:
 //
 //   - unitcheck:      unit-suffix consistency (tempC vs tempK, W vs mW, ...)
 //   - detcheck:       nondeterminism sources in simulation packages
@@ -10,20 +10,13 @@
 //   - goroutinecheck: unsynchronized writes to captured state in go closures
 //   - invcheck:       stepping entry points detached from the tgsan hooks
 //
-// plus three interprocedural passes built on the tgflow engine (cfg.go,
-// callgraph.go, dataflow.go, summary.go):
+// plus four passes built on the tgflow engine (cfg.go, callgraph.go,
+// dataflow.go, summary.go):
 //
-//   - unitflow:  unit propagation across call boundaries and struct fields
-//   - nanflow:   NaN taint from unchecked sources to persistent state sinks
+//   - unitflow:   unit propagation across call boundaries and struct fields
+//   - nanflow:    NaN taint from unchecked sources to persistent state sinks
 //   - statecover: checkpoint State()/Restore() field-coverage verification
-//
-// plus the tgpar family policing the parallel-pipeline and cache
-// contracts from docs/PERFORMANCE.md (parutil.go):
-//
-//   - parwrite:   workers write only chunk-indexed or worker-owned state
-//   - redorder:   reductions reachable from phases are serial/deterministic
 //   - cacheflush: topology/geometry mutations are followed by their flush
-//   - workerpure: workers may bump counters, never the record stream
 //
 // plus the tgperf family policing the steady-state performance
 // contract — zero allocations and zero dynamic dispatch on the
@@ -159,15 +152,13 @@ func (p *Pass) ObjectOf(fun ast.Expr) types.Object {
 }
 
 // All returns the domain analyzers in their canonical order: the seven
-// syntactic passes, the three interprocedural (tgflow) passes, the four
-// tgpar concurrency/cache-contract passes, the three tgperf hot-path
+// syntactic passes, the four tgflow passes, the three tgperf hot-path
 // performance passes, then the four tgsync synchronization-lifecycle
 // passes.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Unitcheck, Detcheck, Floatcheck, Errsink, Aliascheck, Goroutinecheck, Invcheck,
-		Unitflow, Nanflow, Statecover,
-		Parwrite, Redorder, Cacheflush, Workerpure,
+		Unitflow, Nanflow, Statecover, Cacheflush,
 		Allocfree, Boxcheck, Capgrow,
 		Lockorder, Unlockpath, Blockheld, Golife,
 	}

@@ -2,7 +2,7 @@ package analysis
 
 // blockheld — nothing blocks while a lock is held (tgsync). Scoped to
 // the concurrency-infrastructure packages (Tgsync.Packages: serve, sim,
-// par, experiments), where a blocked lock holder stalls every other
+// experiments), where a blocked lock holder stalls every other
 // goroutine contending for the same lock — the failure mode the tgserve
 // supervisor's "never block under s.mu" discipline exists to prevent.
 //
@@ -34,7 +34,7 @@ import (
 
 var Blockheld = &Analyzer{
 	Name:         "blockheld",
-	Doc:          "no channel ops, selects, sleeps, or I/O while a lock is held (serve/sim/par/experiments)",
+	Doc:          "no channel ops, selects, sleeps, or I/O while a lock is held (serve/sim/experiments)",
 	Run:          runBlockheld,
 	NeedsProgram: true,
 }
@@ -114,7 +114,7 @@ func runBlockheld(pass *Pass) {
 // own are held: Wait only releases its bound lock, so wakers blocked on
 // the extras never run. An unresolvable condition binding is treated
 // conservatively when any lock is held.
-func checkCondWait(pass *Pass, pkg *Package, anns parAnnIndex, u *syncUnit, call *ast.CallExpr, st *heldState) {
+func checkCondWait(pass *Pass, pkg *Package, anns annIndex, u *syncUnit, call *ast.CallExpr, st *heldState) {
 	posn := pass.Fset.Position(call.Pos())
 	if anns.covered("nonblocking", posn) {
 		return

@@ -4,9 +4,8 @@ package analysis
 // values inside the hot set cannot be devirtualized or inlined, and
 // sort.Sort/sort.Slice* pay reflection plus a closure per call; both
 // are reported. Calls through plain func values are deliberately NOT
-// findings: the sanctioned allocation-free idiom stores prebuilt
-// worker closures in struct fields and invokes them through par.Pool,
-// and a func value dispatches through a code pointer, not an itable.
+// findings: a func value dispatches through a code pointer, not an
+// itable.
 // Cold blocks (error return / panic) and //perf:dispatch-annotated
 // lines are exempt.
 
@@ -49,7 +48,7 @@ func runBoxcheck(pass *Pass) {
 	}
 }
 
-func boxcheckNode(pass *Pass, anns parAnnIndex, e *hotEntry, n ast.Node, ctx *hotCtx, seen map[string]bool) {
+func boxcheckNode(pass *Pass, anns annIndex, e *hotEntry, n ast.Node, ctx *hotCtx, seen map[string]bool) {
 	call, ok := n.(*ast.CallExpr)
 	if !ok || ctx.cold {
 		return

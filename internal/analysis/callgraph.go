@@ -256,3 +256,13 @@ func (p *Program) EdgeList() []string {
 	sort.Strings(out)
 	return out
 }
+
+// pkgByPath finds a loaded package by import path.
+func (p *Program) pkgByPath(path string) *Package {
+	for _, pkg := range p.Pkgs {
+		if pkg.ImportPath == path {
+			return pkg
+		}
+	}
+	return nil
+}

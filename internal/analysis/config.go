@@ -80,43 +80,11 @@ type Config struct {
 		Allow []string `json:"allow"`
 	} `json:"nanflow"`
 
-	Parwrite struct {
-		// Allow exempts whole packages by import path (prefix match): their
-		// fan-out sites are not analyzed (the pool's own internals).
-		Allow []string `json:"allow"`
-		// GoPackages lists the pipeline packages (base names or import
-		// paths) whose `go` statements are analyzed as zero-chunk workers.
-		GoPackages []string `json:"goPackages"`
-		// AllowCallees lists import-path prefixes treated as safe to call
-		// from workers without descending (audited leaf APIs: the invariant
-		// checker, registry counters, the pool itself).
-		AllowCallees []string `json:"allowCallees"`
-	} `json:"parwrite"`
-
-	Redorder struct {
-		// GoPackages lists the pipeline packages whose go-statement
-		// functions anchor a reduction scope.
-		GoPackages []string `json:"goPackages"`
-		// AllowCallees lists import-path prefixes the reachability walk
-		// does not enter (the telemetry registry's CAS counters are the
-		// sanctioned atomic-accumulate exception).
-		AllowCallees []string `json:"allowCallees"`
-	} `json:"redorder"`
-
 	Cacheflush struct {
 		// Rules lists the watched type/fields/flush triples; see
 		// CacheflushRule.
 		Rules []CacheflushRule `json:"rules"`
 	} `json:"cacheflush"`
-
-	Workerpure struct {
-		// GoPackages lists the pipeline packages whose go statements count
-		// as fan-out sites.
-		GoPackages []string `json:"goPackages"`
-		// Forbidden lists canonical function-key prefixes workers must not
-		// reach (the record-stream APIs).
-		Forbidden []string `json:"forbidden"`
-	} `json:"workerpure"`
 
 	Tgperf struct {
 		// Roots maps import-path base names (or full import paths) to the
@@ -215,19 +183,6 @@ func DefaultConfig() *Config {
 	c.Nanflow.Guards = []string{"validate", "clamp", "sanitize", "finite", "isnan", "isinf"}
 	c.Statecover.Producers = []string{"State", "snapshot"}
 	c.Statecover.Consumers = []string{"Restore"}
-	c.Parwrite.Allow = []string{"thermogater/internal/par"}
-	c.Parwrite.GoPackages = []string{"sim"}
-	c.Parwrite.AllowCallees = []string{
-		"thermogater/internal/invariant",
-		"thermogater/internal/telemetry",
-		"thermogater/internal/par",
-	}
-	c.Redorder.GoPackages = []string{"sim"}
-	c.Redorder.AllowCallees = []string{
-		"thermogater/internal/invariant",
-		"thermogater/internal/telemetry",
-		"thermogater/internal/par",
-	}
 	c.Cacheflush.Rules = []CacheflushRule{
 		{Type: "Network", Fields: []string{"pathR", "conc"}, Flush: []string{"rebuildPaths"}},
 		{Type: "Regulator", Fields: []string{"Pos"}, Flush: []string{"rebuildPaths"}},
@@ -245,7 +200,6 @@ func DefaultConfig() *Config {
 		"dvfs":     {"(Governor).Observe"},
 		"aging":    {"(Tracker).Observe"},
 		"workload": {"(Profile).PhaseAt"},
-		"par":      {"(Pool).For"},
 	}
 	c.Tgperf.AllowCallees = []string{
 		"thermogater/internal/invariant",
@@ -254,26 +208,13 @@ func DefaultConfig() *Config {
 	c.Tgperf.CapgrowPackages = []string{
 		"uarch", "workload", "power", "thermal", "pdn", "vr", "sim", "dvfs", "aging", "core",
 	}
-	c.Tgsync.Packages = []string{"serve", "sim", "par", "experiments"}
+	c.Tgsync.Packages = []string{"serve", "sim", "experiments"}
 	c.Tgsync.Blocking = []string{"os", "net", "io", "bufio"}
 	c.Tgsync.StopNames = []string{
 		"stop", "quit", "done", "cancel", "exit", "kill", "term", "shutdown", "abort",
 	}
 	c.Tgsync.Settle = []SettleRule{
 		{Triggers: []string{"finish", "finishLocked"}, Notify: []string{"jobSettled", "aggregateSweep"}},
-	}
-	c.Workerpure.GoPackages = []string{"sim"}
-	c.Workerpure.Forbidden = []string{
-		"thermogater/internal/telemetry.(Registry).Emit",
-		"thermogater/internal/telemetry.(Registry).StartSpan",
-		"thermogater/internal/telemetry.(Registry).AddSink",
-		"thermogater/internal/telemetry.(Registry).Close",
-		"thermogater/internal/telemetry.(Span).",
-		"thermogater/internal/telemetry.(JSONLSink).",
-		"thermogater/internal/telemetry.(CSVSink).",
-		"thermogater/internal/telemetry.(Record).",
-		"thermogater/internal/telemetry.NewRecord",
-		"thermogater/internal/telemetry.Write",
 	}
 	return c
 }
@@ -408,6 +349,18 @@ func (c *Config) errsinkInternal(pkgPath string) bool {
 func allowedBy(allow []string, importPath string) bool {
 	for _, a := range allow {
 		if importPath == a || strings.HasPrefix(importPath, a+"/") {
+			return true
+		}
+	}
+	return false
+}
+
+// pkgMatches reports whether an import path matches a configured list of
+// base names or full import paths (the convention detcheck/nanflow use).
+func pkgMatches(list []string, importPath string) bool {
+	base := importPath[strings.LastIndex(importPath, "/")+1:]
+	for _, p := range list {
+		if p == base || p == importPath {
 			return true
 		}
 	}

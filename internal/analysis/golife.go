@@ -75,7 +75,7 @@ func runGolife(pass *Pass) {
 // ---------------------------------------------------------------------------
 // go statements
 
-func checkGoStmt(pass *Pass, prog *Program, pkg *Package, anns parAnnIndex, tear map[string]bool, g *ast.GoStmt) {
+func checkGoStmt(pass *Pass, prog *Program, pkg *Package, anns annIndex, tear map[string]bool, g *ast.GoStmt) {
 	posn := pass.Fset.Position(g.Pos())
 	if anns.covered("owned", posn) {
 		return
@@ -123,7 +123,7 @@ func timerCtor(pkg *Package, call *ast.CallExpr) string {
 	return ""
 }
 
-func checkTimers(pass *Pass, pkg *Package, anns parAnnIndex, u *syncUnit) {
+func checkTimers(pass *Pass, pkg *Package, anns annIndex, u *syncUnit) {
 	// Find constructor calls that are statements of THIS unit (nested
 	// literals are their own units).
 	type site struct {
@@ -360,7 +360,7 @@ func stmtCallsStop(pkg *Package, s ast.Stmt, obj types.Object) bool {
 // ---------------------------------------------------------------------------
 // settle obligations
 
-func checkSettle(pass *Pass, pkg *Package, anns parAnnIndex) {
+func checkSettle(pass *Pass, pkg *Package, anns annIndex) {
 	rules := pass.Config.Tgsync.Settle
 	if len(rules) == 0 {
 		return
@@ -381,7 +381,7 @@ func checkSettle(pass *Pass, pkg *Package, anns parAnnIndex) {
 	}
 }
 
-func checkSettleRule(pass *Pass, pkg *Package, anns parAnnIndex, fd *ast.FuncDecl, rule SettleRule) {
+func checkSettleRule(pass *Pass, pkg *Package, anns annIndex, fd *ast.FuncDecl, rule SettleRule) {
 	var cfg *CFG
 	notify := func(s ast.Stmt) bool {
 		return stmtContains(s, func(n ast.Node) bool {

@@ -8,7 +8,7 @@ package analysis
 // diagnostics tglint reports into it:
 //
 //   - the content of its own non-test Go files (which also covers
-//     //lint:ignore and //par: annotations — they live in those files);
+//     //lint:ignore, //perf: and //sync: annotations — they live in those files);
 //   - the content of every transitive in-module dependency's files. All
 //     interprocedural passes propagate facts in the callee direction
 //     only (calleeFunc resolves direct calls, which always land in an

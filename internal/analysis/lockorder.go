@@ -97,7 +97,7 @@ func runLockorder(pass *Pass) {
 
 // collectLockEdges walks one package's units and appends every ordering
 // edge observed in them.
-func collectLockEdges(prog *Program, dep *Package, sums map[string]lockSummary, anns parAnnIndex, edges *[]*lockEdge) {
+func collectLockEdges(prog *Program, dep *Package, sums map[string]lockSummary, anns annIndex, edges *[]*lockEdge) {
 	for _, u := range syncUnits(dep) {
 		walkHeld(dep, u, &syncVisitor{
 			acquire: func(class string, op lockOp, call *ast.CallExpr, st *heldState) {

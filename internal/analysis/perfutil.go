@@ -11,9 +11,7 @@ package analysis
 //   - the hot set: every function reachable — over the tgflow call
 //     graph, with statically-dead branches pruned — from the configured
 //     hot roots (sim.Runner's per-epoch step, the pdn/thermal solve
-//     entry points, par.Pool.For), plus the worker bodies of every
-//     par.Pool.For fan-out found along the way, including prebuilt
-//     workers stored in struct fields;
+//     entry points);
 //
 //   - the escape-lattice scanner scanHot: a statement walker that
 //     threads the classification context the lattice needs —
@@ -31,7 +29,7 @@ package analysis
 //
 //     A directive covers its own line and the line below it, the reason
 //     is mandatory, and malformed directives are findings (reported by
-//     allocfree once per package), mirroring the //par: grammar. A
+//     allocfree once per package), mirroring //lint:ignore. A
 //     directive whose covered line is a function declaration exempts the
 //     whole body — the function-scope form, for functions that allocate
 //     by design but run off the steady-state path (telemetry record
@@ -62,53 +60,38 @@ var perfAnnKinds = map[string]bool{"alloc": true, "dispatch": true}
 
 // buildPerfAnns scans the files for //perf: directives. Malformed ones
 // are attributed to the given pass name; allocfree reports them so they
-// surface exactly once per package. Unlike the //par: index, the
-// //perf: index is per-package: a tgperf finding and its annotation
-// always share a line, so no cross-package view is needed (which also
-// keeps the incremental fingerprints sound).
-func buildPerfAnns(fset *token.FileSet, files []*ast.File, reportPass string) (parAnnIndex, []Diagnostic) {
+// surface exactly once per package. The //perf: index is per-package:
+// a tgperf finding and its annotation always share a line, so no
+// cross-package view is needed (which also keeps the incremental
+// fingerprints sound).
+func buildPerfAnns(fset *token.FileSet, files []*ast.File, reportPass string) (annIndex, []Diagnostic) {
 	return buildAnnIndex(fset, files, perfAnnPrefix, perfAnnKinds, "alloc or dispatch", reportPass)
 }
 
 // hotEntryExempt reports whether a //perf: directive of the given kind
 // covers the entry's declaration line, exempting the entire body — the
 // function-scope form of the annotation grammar. The directive goes on
-// the last line of the function's doc comment (or directly above a
-// detached worker literal). Exemption is per pass kind and does not
-// prune the hot-set BFS: callees of an exempt function stay hot and
-// need their own triage.
-func hotEntryExempt(fset *token.FileSet, anns parAnnIndex, e *hotEntry, kind string) bool {
-	var pos token.Pos
-	if e.fn != nil {
-		pos = e.fn.Decl.Pos()
-	} else {
-		pos = e.lit.Pos()
-	}
-	return anns.covered(kind, fset.Position(pos))
+// the last line of the function's doc comment. Exemption is per pass
+// kind and does not prune the hot-set BFS: callees of an exempt
+// function stay hot and need their own triage.
+func hotEntryExempt(fset *token.FileSet, anns annIndex, e *hotEntry, kind string) bool {
+	return anns.covered(kind, fset.Position(e.fn.Decl.Pos()))
 }
 
 // ---------------------------------------------------------------------------
 // Hot set
 
-// hotEntry is one member of the hot set: a declared function, or a
-// worker func literal stored in a struct field and resolved through a
-// par.Pool.For fan-out (a literal lexically inside a hot function is
-// covered by that function's own scan and never becomes an entry).
+// hotEntry is one member of the hot set: a declared function (a func
+// literal inside a hot function is covered by that function's own scan).
 type hotEntry struct {
 	key  string
-	fn   *FlowFunc    // nil for detached worker literals
-	lit  *ast.FuncLit // set for detached worker literals
+	fn   *FlowFunc
 	pkg  *Package
 	root string // the root that made this entry hot, for diagnostics
 }
 
 // body returns the entry's statement body.
-func (e *hotEntry) body() *ast.BlockStmt {
-	if e.fn != nil {
-		return e.fn.Decl.Body
-	}
-	return e.lit.Body
-}
+func (e *hotEntry) body() *ast.BlockStmt { return e.fn.Decl.Body }
 
 // tgperfRoots returns the hot roots configured for a package, matched
 // by base name or full import path.
@@ -149,8 +132,8 @@ func depClosure(target *Package) map[string]bool {
 // from every configured root declared in target's dependency closure,
 // expanding through live direct calls (statically-dead branches are
 // pruned, so release-build no-ops like `if invariant.Enabled` guards
-// contribute nothing) and through par.Pool.For worker bodies. Packages
-// on the tgperf allowCallees list are not entered.
+// contribute nothing). Packages on the tgperf allowCallees list are not
+// entered.
 func buildHotSet(prog *Program, cfg *Config, target *Package) map[string]*hotEntry {
 	closure := depClosure(target)
 	entries := make(map[string]*hotEntry)
@@ -175,38 +158,17 @@ func buildHotSet(prog *Program, cfg *Config, target *Package) map[string]*hotEnt
 	for len(queue) > 0 {
 		e := queue[0]
 		queue = queue[1:]
-		var encl *ast.FuncDecl
-		if e.fn != nil {
-			encl = e.fn.Decl
-		}
-		expandHot(prog, cfg, e, encl, add)
+		expandHot(prog, cfg, e, add)
 	}
 	return entries
 }
 
 // expandHot walks one hot entry's live statements and queues its
-// callees and resolved fan-out workers.
-func expandHot(prog *Program, cfg *Config, e *hotEntry, encl *ast.FuncDecl, add func(*hotEntry)) {
-	body := e.body()
-	inspectLive(e.pkg.Info, body, func(n ast.Node) bool {
+// callees.
+func expandHot(prog *Program, cfg *Config, e *hotEntry, add func(*hotEntry)) {
+	inspectLive(e.pkg.Info, e.body(), func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
-			return true
-		}
-		if isPoolFor(e.pkg, call) && len(call.Args) == 2 {
-			site := &fanoutSite{encl: encl}
-			resolveWorker(e.pkg, prog, encl, call.Args[1], site)
-			for _, fn := range site.fns {
-				add(&hotEntry{key: fn.Key, fn: fn, pkg: fn.Pkg, root: e.root})
-			}
-			for _, lit := range site.lits {
-				if lit.Pos() >= body.Pos() && lit.End() <= body.End() {
-					continue // inline worker: covered by this entry's own scan
-				}
-				pos := e.pkg.Fset.Position(lit.Pos())
-				key := "lit:" + pos.Filename + ":" + pos.String()
-				add(&hotEntry{key: key, lit: lit, pkg: e.pkg, root: e.root})
-			}
 			return true
 		}
 		callee := calleeFunc(e.pkg, call)
@@ -438,7 +400,7 @@ func (w *hotWalker) stmt(s ast.Stmt, ctx hotCtx) hotCtx {
 	case *ast.DeferStmt:
 		// A func literal deferred outside a loop is open-coded and
 		// stack-allocated; exempting it here keeps recover trampolines
-		// (par.runChunk) clean without an annotation.
+		// clean without an annotation.
 		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
 			w.exempt[lit] = true
 		}

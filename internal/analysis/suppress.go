@@ -98,3 +98,71 @@ func buildSuppressions(fset *token.FileSet, files []*ast.File) (suppressionIndex
 	}
 	return idx, bad
 }
+
+// annIndex maps file → line → annotation kinds covering that line; the
+// //perf: and //sync: grammars share it.
+type annIndex map[string]map[int]map[string]bool
+
+// covered reports whether an annotation of the given kind covers pos.
+func (idx annIndex) covered(kind string, pos token.Position) bool {
+	return idx[pos.Filename][pos.Line][kind]
+}
+
+// buildAnnIndex is the shared directive scanner behind the //perf: and
+// //sync: grammars: a directive is "<prefix><kind> <reason...>", the
+// reason is mandatory, unknown kinds are findings, and a directive
+// covers its own line plus the line below it (mirroring //lint:ignore).
+func buildAnnIndex(fset *token.FileSet, files []*ast.File, prefix string, kinds map[string]bool, kindsHint, reportPass string) (annIndex, []Diagnostic) {
+	idx := make(annIndex)
+	var bad []Diagnostic
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if !strings.HasPrefix(c.Text, prefix) {
+					continue
+				}
+				pos := fset.Position(c.Pos())
+				rest := strings.TrimPrefix(c.Text, prefix)
+				fields := strings.Fields(rest)
+				if len(fields) == 0 || !kinds[fields[0]] {
+					if reportPass != "" {
+						kind := "(none)"
+						if len(fields) > 0 {
+							kind = fields[0]
+						}
+						bad = append(bad, Diagnostic{
+							Pos:     pos,
+							Pass:    reportPass,
+							Message: "unknown " + prefix + " annotation kind " + kind + " (want " + kindsHint + ")",
+						})
+					}
+					continue
+				}
+				if len(fields) < 2 {
+					if reportPass != "" {
+						bad = append(bad, Diagnostic{
+							Pos:     pos,
+							Pass:    reportPass,
+							Message: "malformed " + prefix + fields[0] + " annotation: a reason is mandatory",
+						})
+					}
+					continue
+				}
+				byLine := idx[pos.Filename]
+				if byLine == nil {
+					byLine = make(map[int]map[string]bool)
+					idx[pos.Filename] = byLine
+				}
+				for _, line := range []int{pos.Line, pos.Line + 1} {
+					kinds := byLine[line]
+					if kinds == nil {
+						kinds = make(map[string]bool)
+						byLine[line] = kinds
+					}
+					kinds[fields[0]] = true
+				}
+			}
+		}
+	}
+	return idx, bad
+}

@@ -42,8 +42,7 @@ package analysis
 //
 //     A directive covers its own line and the line below, the reason is
 //     mandatory, and malformed directives are findings (reported once
-//     per package by lockorder, the family head) — mirroring //par: and
-//     //perf:.
+//     per package by lockorder, the family head) — mirroring //perf:.
 
 import (
 	"go/ast"
@@ -70,7 +69,7 @@ var syncAnnKinds = map[string]bool{
 // buildSyncAnns scans the files for //sync: directives. Malformed ones
 // come back as diagnostics attributed to the given pass; lockorder
 // reports them so they surface exactly once per package.
-func buildSyncAnns(fset *token.FileSet, files []*ast.File, reportPass string) (parAnnIndex, []Diagnostic) {
+func buildSyncAnns(fset *token.FileSet, files []*ast.File, reportPass string) (annIndex, []Diagnostic) {
 	return buildAnnIndex(fset, files, syncAnnPrefix, syncAnnKinds,
 		"ordered, balanced, nonblocking or owned", reportPass)
 }
@@ -80,17 +79,17 @@ func buildSyncAnns(fset *token.FileSet, files []*ast.File, reportPass string) (p
 // the lock graph is assembled for package A's report.
 type syncAnnState struct {
 	once sync.Once
-	idx  parAnnIndex
+	idx  annIndex
 }
 
 var syncAnnCache sync.Map // *Program → *syncAnnState
 
 // syncAnns returns the //sync: index over every package of the program.
-func syncAnns(prog *Program) parAnnIndex {
+func syncAnns(prog *Program) annIndex {
 	v, _ := syncAnnCache.LoadOrStore(prog, &syncAnnState{})
 	st := v.(*syncAnnState)
 	st.once.Do(func() {
-		st.idx = make(parAnnIndex)
+		st.idx = make(annIndex)
 		for _, pkg := range prog.Pkgs {
 			idx, _ := buildSyncAnns(pkg.Fset, pkg.Files, "")
 			for file, byLine := range idx {
@@ -99,6 +98,11 @@ func syncAnns(prog *Program) parAnnIndex {
 		}
 	})
 	return st.idx
+}
+
+// shortPos renders a cross-reference position compactly.
+func shortPos(p token.Position) string {
+	return filepath.Base(p.Filename) + ":" + strconv.Itoa(p.Line)
 }
 
 // ---------------------------------------------------------------------------

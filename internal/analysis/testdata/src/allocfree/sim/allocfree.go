@@ -7,11 +7,7 @@
 // everything reported Escapes.
 package sim
 
-import (
-	"fmt"
-
-	"thermogater/internal/par"
-)
+import "fmt"
 
 type point struct{ x, y int }
 
@@ -24,7 +20,6 @@ type Runner struct {
 	tmp     []float64
 	lut     []float64
 	cache   map[uint64][]float64
-	worker  func(lo, hi int)
 	name    string
 	n       int
 	bad     bool
@@ -37,17 +32,9 @@ const debugChecks = false
 // box takes any value; scalar arguments box at the call site.
 func box(v any) any { return v }
 
-// NewRunner is cold construction code: its own allocations are not
-// findings, and the worker literal it stores in a field is resolved
-// through the fan-out below and scanned as hot.
+// NewRunner is cold construction code: its allocations are not findings.
 func NewRunner() *Runner {
-	r := &Runner{cache: map[uint64][]float64{}}
-	r.worker = func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r.hist = append(r.hist, float64(i)) // want "append may grow"
-		}
-	}
-	return r
+	return &Runner{cache: map[uint64][]float64{}}
 }
 
 // helper is hot only by reachability from stepEpoch.
@@ -77,7 +64,7 @@ func (r *Runner) emitRecord() {
 	_ = box(r.n)
 }
 
-func (r *Runner) stepEpoch(p *par.Pool) error {
+func (r *Runner) stepEpoch() error {
 	xs := make([]float64, 8) // want "make allocates"
 	_ = xs
 	q := new(point) // want "new allocates"
@@ -112,13 +99,6 @@ func (r *Runner) stepEpoch(p *par.Pool) error {
 	cb := func() { r.n++ } // want "closure"
 	cb()
 	func() { r.n-- }() // immediately invoked: no closure object
-
-	p.For(4, r.worker)
-	p.For(4, func(lo, hi int) { // want "closure"
-		for i := lo; i < hi; i++ {
-			r.scratch[i%8] = 0
-		}
-	})
 
 	r.helper()
 	_ = r.cached(3)

@@ -99,3 +99,4 @@ func TestSCCBottomUp(t *testing.T) {
 func TestUnitflowFixture(t *testing.T)   { checkFixture(t, Unitflow, "unitflow") }
 func TestNanflowFixture(t *testing.T)    { checkFixture(t, Nanflow, "nanflow/sim") }
 func TestStatecoverFixture(t *testing.T) { checkFixture(t, Statecover, "statecover/ckpt") }
+func TestCacheflushFixture(t *testing.T) { checkFixture(t, Cacheflush, "cacheflush/cache") }

@@ -109,7 +109,7 @@ func collectLockEvents(pkg *Package, u *syncUnit, deferLits map[*ast.FuncLit]boo
 	return events
 }
 
-func checkUnit(pass *Pass, pkg *Package, anns parAnnIndex, u *syncUnit, deferLits map[*ast.FuncLit]bool) {
+func checkUnit(pass *Pass, pkg *Package, anns annIndex, u *syncUnit, deferLits map[*ast.FuncLit]bool) {
 	events := collectLockEvents(pkg, u, deferLits)
 	if len(events) == 0 {
 		return

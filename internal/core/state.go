@@ -60,7 +60,6 @@ func (g *Governor) State() *GovernorState {
 			HasPend: cloneBools(g.sigPred.hasPend),
 			Stats:   g.sigPred.stats,
 		}
-		//par:ordered map-to-map copy; the snapshot is order-independent
 		for k, v := range g.sigPred.table {
 			sig.Table[k] = v
 		}

@@ -16,9 +16,8 @@ package pdn
 // (the placement optimiser); it flushes every domain cache. Mesh
 // geometry is immutable after NewMesh, so its cache never invalidates.
 //
-// Concurrency rule: caches are per-domain and unsynchronized. Parallel
-// callers must partition work by domain (as the simulator's pdn fan-out
-// does), never by (step, domain) pairs.
+// Concurrency rule: caches are per-domain and unsynchronized; a Network
+// belongs to the one goroutine running its simulation.
 
 // MaskKey packs an active-regulator mask into a bitset key: bit ri is
 // set when active[ri] is true. Domains carry at most 9 regulators, so

@@ -216,7 +216,7 @@ func (n *Network) SteadyNoise(domain int, blockCurrent []float64, active []bool)
 
 // SteadyNoiseInto is SteadyNoise writing into a caller-owned profile,
 // reusing out.PerBlockPct when it has capacity. The simulator's pdn
-// fan-out calls this once per substep per domain; with the per-mask
+// phase calls this once per substep per domain; with the per-mask
 // resistance cache warm it allocates nothing.
 func (n *Network) SteadyNoiseInto(domain int, blockCurrent []float64, active []bool, out *DomainNoise) error {
 	d := &n.chip.Domains[domain]

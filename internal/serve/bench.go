@@ -183,7 +183,7 @@ func benchPreempt(durationMS int) (*PreemptBench, error) {
 	}
 
 	// Reference: same config, frozen clock, uninterrupted.
-	cfg, err := spec.simConfig(0)
+	cfg, err := spec.simConfig()
 	if err != nil {
 		return nil, err
 	}

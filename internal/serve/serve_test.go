@@ -50,7 +50,7 @@ func waitState(t *testing.T, j *Job, want JobState) {
 // the canonical JSONL bytes an uninterrupted run produces.
 func referenceStream(t *testing.T, spec JobSpec) []byte {
 	t.Helper()
-	cfg, err := spec.simConfig(0)
+	cfg, err := spec.simConfig()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,10 +188,9 @@ func (s JobSpec) children() []JobSpec {
 	return kids
 }
 
-// simConfig builds the engine configuration for a validated sim spec.
-// simWorkers is the per-run worker count the supervisor is configured
-// with; telemetry and checkpointing are wired by the caller.
-func (s JobSpec) simConfig(simWorkers int) (sim.Config, error) {
+// simConfig builds the engine configuration for a validated sim spec;
+// telemetry and checkpointing are wired by the caller.
+func (s JobSpec) simConfig() (sim.Config, error) {
 	c := s.canonical()
 	p, err := core.ParsePolicy(c.policyName())
 	if err != nil {
@@ -203,7 +202,6 @@ func (s JobSpec) simConfig(simWorkers int) (sim.Config, error) {
 	}
 	cfg := sim.DefaultConfig(p, prof)
 	cfg.Seed = c.Seed
-	cfg.Workers = simWorkers
 	if c.DurationMS > 0 {
 		cfg.DurationMS = c.DurationMS
 	}

@@ -73,10 +73,6 @@ type Config struct {
 	// 200). Every job runs with periodic checkpoints at this cadence so
 	// a panicked attempt resumes instead of restarting.
 	CheckpointEvery int
-	// SimWorkers is the per-run pipeline worker count (default 0 =
-	// inline; the service scales by running jobs concurrently, not by
-	// parallelising single runs).
-	SimWorkers int
 	// SpoolDir persists parked/queued jobs across restarts; "" disables
 	// spooling (drain then abandons unfinished jobs).
 	SpoolDir string
@@ -721,7 +717,7 @@ func (s *Supervisor) attempt(j *Job, ctx context.Context) (res *sim.Result, err 
 		}
 	}()
 
-	cfg, err := j.Spec.simConfig(s.cfg.SimWorkers)
+	cfg, err := j.Spec.simConfig()
 	if err != nil {
 		return nil, &permanentError{err}
 	}

@@ -12,7 +12,7 @@ import (
 // faults and no checkpoint sink — the pure physics loop that dominates
 // sweep wall-clock. Everything the config leaves off is an annotated
 // //perf:alloc exception in the source, not part of the contract.
-func allocGateConfig(t *testing.T, policy core.PolicyKind, workers int) Config {
+func allocGateConfig(t *testing.T, policy core.PolicyKind) Config {
 	t.Helper()
 	bench, err := workload.ByName("fft")
 	if err != nil {
@@ -21,7 +21,6 @@ func allocGateConfig(t *testing.T, policy core.PolicyKind, workers int) Config {
 	cfg := DefaultConfig(policy, bench)
 	cfg.DurationMS = 120
 	cfg.WarmupEpochs = 10
-	cfg.Workers = workers
 	return cfg
 }
 
@@ -30,8 +29,8 @@ func allocGateConfig(t *testing.T, policy core.PolicyKind, workers int) Config {
 // slices and pass the worst-noise transient, then testing.AllocsPerRun
 // over single epochs. The simulation is deterministic per seed, so the
 // measured window is reproducible — this is a hard gate, not a heuristic.
-func testStepEpochAllocs(t *testing.T, policy core.PolicyKind, workers int) {
-	r, err := New(allocGateConfig(t, policy, workers))
+func testStepEpochAllocs(t *testing.T, policy core.PolicyKind) {
+	r, err := New(allocGateConfig(t, policy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +43,9 @@ func testStepEpochAllocs(t *testing.T, policy core.PolicyKind, workers int) {
 			t.Fatal(err)
 		}
 	}
-	cleanup, err := r.beginRun()
-	if err != nil {
+	if err := r.beginRun(); err != nil {
 		t.Fatal(err)
 	}
-	defer cleanup()
 
 	const warmEpochs = 60
 	const runs = 40
@@ -69,7 +66,7 @@ func testStepEpochAllocs(t *testing.T, policy core.PolicyKind, workers int) {
 		e++
 	})
 	if avg != 0 {
-		t.Fatalf("%v workers=%d: %v allocations per steady-state epoch, want 0", policy, workers, avg)
+		t.Fatalf("%v: %v allocations per steady-state epoch, want 0", policy, avg)
 	}
 	if _, err := r.finishRun(); err != nil {
 		t.Fatal(err)
@@ -77,25 +74,18 @@ func testStepEpochAllocs(t *testing.T, policy core.PolicyKind, workers int) {
 }
 
 // TestStepEpochZeroAllocs gates the epoch loop across the policy cost
-// spectrum (no decision work, oracle PDN solving, practical predictor)
-// and both pipelines. The parallel cells additionally pin the prebuilt
-// fan-out workers, the double-buffered producer and the reused governor
-// inputs: AllocsPerRun counts mallocs on every goroutine, producer
-// included.
+// spectrum: no decision work, oracle PDN solving, practical predictor.
 func TestStepEpochZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		policy  core.PolicyKind
-		workers int
+		name   string
+		policy core.PolicyKind
 	}{
-		{"allon/seq", core.AllOn, 0},
-		{"oracT/seq", core.OracT, 0},
-		{"oracT/par", core.OracT, 4},
-		{"pracVT/seq", core.PracVT, 0},
-		{"pracVT/par", core.PracVT, 4},
+		{"allon", core.AllOn},
+		{"oracT", core.OracT},
+		{"pracVT", core.PracVT},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			testStepEpochAllocs(t, tc.policy, tc.workers)
+			testStepEpochAllocs(t, tc.policy)
 		})
 	}
 }

@@ -8,13 +8,12 @@ import (
 // CancelError is how a run reports that its context was canceled. The
 // runner polls the context once per epoch (a single interface call — the
 // steady-state loop stays allocation-free) and stops at the next epoch
-// boundary where the activity producer has captured a uarch snapshot, so
-// Checkpoint is a complete, resumable state of the interrupted run:
-// restoring it into a fresh runner and calling RunContext again continues
-// the run byte-identically (the same guarantee periodic checkpoints give,
-// proven by checkpoint_test.go). Under the parallel pipeline the producer
-// runs one epoch ahead, so cancellation lands within two epochs of the
-// request.
+// boundary that has a uarch snapshot — every epoch produced after the
+// request captures one — so Checkpoint is a complete, resumable state of
+// the interrupted run: restoring it into a fresh runner and calling
+// RunContext again continues the run byte-identically (the same
+// guarantee periodic checkpoints give, proven by checkpoint_test.go).
+// Cancellation lands within two epochs of the request.
 //
 // Checkpoint is nil only when the run was canceled before any epoch
 // completed (during setup or the θ-profiling pass, which is cheap to

@@ -17,107 +17,105 @@ import (
 // a fresh runner resumed from that checkpoint must stitch a telemetry
 // stream byte-identical to an uninterrupted run.
 func TestRunContextCancelResumeByteIdentical(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		t.Run(map[int]string{0: "seq", 4: "par"}[workers], func(t *testing.T) {
-			cfg := checkpointTestConfig(t)
-			cfg.Workers = workers
+	// seq: the runner's single serial epoch pipeline.
+	t.Run("seq", func(t *testing.T) {
+		cfg := checkpointTestConfig(t)
 
-			// Reference: the uninterrupted run.
-			regA, bufA, sinkA := constantClockRegistry()
-			full := cfg
-			full.Telemetry = regA
-			rA, err := New(full)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resA, err := rA.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sinkA.Flush(); err != nil {
-				t.Fatal(err)
-			}
+		// Reference: the uninterrupted run.
+		regA, bufA, sinkA := constantClockRegistry()
+		full := cfg
+		full.Telemetry = regA
+		rA, err := New(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resA, err := rA.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sinkA.Flush(); err != nil {
+			t.Fatal(err)
+		}
 
-			// Canceled run: a telemetry sink wrapper triggers the cancel
-			// after the 25th record, so the cancellation point is
-			// deterministic without depending on wall-clock timing.
-			cause := errors.New("preempted for test")
-			ctx, cancel := context.WithCancelCause(context.Background())
-			defer cancel(nil)
-			regB, bufB, sinkB := constantClockRegistry()
-			records := 0
-			regB.AddSink(sinkFunc(func() {
-				records++
-				if records == 25 {
-					cancel(cause)
-				}
-			}))
-			interrupted := cfg
-			interrupted.Telemetry = regB
-			rB, err := New(interrupted)
-			if err != nil {
-				t.Fatal(err)
+		// Canceled run: a telemetry sink wrapper triggers the cancel
+		// after the 25th record, so the cancellation point is
+		// deterministic without depending on wall-clock timing.
+		cause := errors.New("preempted for test")
+		ctx, cancel := context.WithCancelCause(context.Background())
+		defer cancel(nil)
+		regB, bufB, sinkB := constantClockRegistry()
+		records := 0
+		regB.AddSink(sinkFunc(func() {
+			records++
+			if records == 25 {
+				cancel(cause)
 			}
-			_, err = rB.RunContext(ctx)
-			var ce *CancelError
-			if !errors.As(err, &ce) {
-				t.Fatalf("canceled run returned %v, want a *CancelError", err)
-			}
-			if !errors.Is(err, cause) {
-				t.Errorf("CancelError cause chain lost the cancel cause: %v", err)
-			}
-			if ce.Checkpoint == nil {
-				t.Fatal("CancelError carries no checkpoint")
-			}
-			if ce.Epoch != ce.Checkpoint.Epoch {
-				t.Errorf("CancelError.Epoch=%d but Checkpoint.Epoch=%d", ce.Epoch, ce.Checkpoint.Epoch)
-			}
-			if err := sinkB.Flush(); err != nil {
-				t.Fatal(err)
-			}
+		}))
+		interrupted := cfg
+		interrupted.Telemetry = regB
+		rB, err := New(interrupted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = rB.RunContext(ctx)
+		var ce *CancelError
+		if !errors.As(err, &ce) {
+			t.Fatalf("canceled run returned %v, want a *CancelError", err)
+		}
+		if !errors.Is(err, cause) {
+			t.Errorf("CancelError cause chain lost the cancel cause: %v", err)
+		}
+		if ce.Checkpoint == nil {
+			t.Fatal("CancelError carries no checkpoint")
+		}
+		if ce.Epoch != ce.Checkpoint.Epoch {
+			t.Errorf("CancelError.Epoch=%d but Checkpoint.Epoch=%d", ce.Epoch, ce.Checkpoint.Epoch)
+		}
+		if err := sinkB.Flush(); err != nil {
+			t.Fatal(err)
+		}
 
-			// The checkpoint must round-trip like a real on-disk snapshot.
-			var cpb bytes.Buffer
-			if err := ce.Checkpoint.Encode(&cpb); err != nil {
-				t.Fatal(err)
-			}
-			cp, err := ReadCheckpoint(&cpb)
-			if err != nil {
-				t.Fatal(err)
-			}
+		// The checkpoint must round-trip like a real on-disk snapshot.
+		var cpb bytes.Buffer
+		if err := ce.Checkpoint.Encode(&cpb); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := ReadCheckpoint(&cpb)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			// Resume on a fresh runner ("another worker").
-			regC, bufC, sinkC := constantClockRegistry()
-			resumed := cfg
-			resumed.Telemetry = regC
-			rC, err := New(resumed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := rC.Restore(cp); err != nil {
-				t.Fatal(err)
-			}
-			resC, err := rC.RunContext(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sinkC.Flush(); err != nil {
-				t.Fatal(err)
-			}
+		// Resume on a fresh runner ("another worker").
+		regC, bufC, sinkC := constantClockRegistry()
+		resumed := cfg
+		resumed.Telemetry = regC
+		rC, err := New(resumed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rC.Restore(cp); err != nil {
+			t.Fatal(err)
+		}
+		resC, err := rC.RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sinkC.Flush(); err != nil {
+			t.Fatal(err)
+		}
 
-			// The canceled prefix may hold more records than the stitched
-			// boundary (the epoch record of the stopping epoch is emitted
-			// before the CancelError returns) — but prefix+suffix must be
-			// exactly the uninterrupted stream.
-			stitched := append(append([]byte(nil), bufB.Bytes()...), bufC.Bytes()...)
-			if !bytes.Equal(stitched, bufA.Bytes()) {
-				t.Fatalf("stitched stream differs from uninterrupted run (%d vs %d bytes)", len(stitched), len(bufA.Bytes()))
-			}
-			if !reflect.DeepEqual(resA, resC) {
-				t.Errorf("resumed result differs from uninterrupted result")
-			}
-		})
-	}
+		// The canceled prefix may hold more records than the stitched
+		// boundary (the epoch record of the stopping epoch is emitted
+		// before the CancelError returns) — but prefix+suffix must be
+		// exactly the uninterrupted stream.
+		stitched := append(append([]byte(nil), bufB.Bytes()...), bufC.Bytes()...)
+		if !bytes.Equal(stitched, bufA.Bytes()) {
+			t.Fatalf("stitched stream differs from uninterrupted run (%d vs %d bytes)", len(stitched), len(bufA.Bytes()))
+		}
+		if !reflect.DeepEqual(resA, resC) {
+			t.Errorf("resumed result differs from uninterrupted result")
+		}
+	})
 }
 
 // sinkFunc adapts a callback into a telemetry sink that observes records.

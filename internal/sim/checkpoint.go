@@ -268,9 +268,7 @@ func cloneResult(res *Result) *Result {
 
 // snapshot assembles the checkpoint for the just-completed epoch e.
 // ustate is the activity simulator's state right after that epoch's
-// frames were generated — captured by the producer, since under the
-// parallel pipeline the simulator may already be an epoch ahead by the
-// time the sink fires.
+// frames were generated (see produceEpoch).
 //
 //perf:alloc checkpoint assembly allocates by design; runs only on checkpoint epochs
 func (r *Runner) snapshot(e int, ustate *uarch.State, ms *MeasureState) *Checkpoint {

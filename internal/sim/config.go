@@ -94,14 +94,6 @@ type Config struct {
 	// Checkpoint configures periodic state snapshots for resumable runs;
 	// the zero value disables checkpointing.
 	Checkpoint CheckpointConfig
-	// Workers selects the parallel epoch pipeline: the worker count the
-	// runner fans out to for the per-frame power conversion, the
-	// per-domain PDN noise evaluation and (on fine-grid models) the
-	// thermal substep rows, plus a one-epoch-lookahead activity
-	// producer. 0 or 1 run the identical pipeline inline on one
-	// goroutine; results and streamed telemetry are byte-identical at
-	// every worker count (see docs/PERFORMANCE.md).
-	Workers int
 }
 
 // DefaultConfig returns the paper's operating point for the given policy
@@ -153,9 +145,6 @@ func (c Config) Validate() error {
 	}
 	if c.DurationMS < 0 || c.WarmupEpochs < 0 || c.ProfilingEpochs < 0 {
 		return errors.New("sim: negative duration/warmup/profiling")
-	}
-	if c.Workers < 0 {
-		return errors.New("sim: negative worker count")
 	}
 	if !(c.SensorNoiseC >= 0) || math.IsInf(c.SensorNoiseC, 1) {
 		return errors.New("sim: sensor noise must be non-negative and finite")

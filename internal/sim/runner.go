@@ -12,7 +12,6 @@ import (
 	"thermogater/internal/fault"
 	"thermogater/internal/floorplan"
 	"thermogater/internal/invariant"
-	"thermogater/internal/par"
 	"thermogater/internal/pdn"
 	"thermogater/internal/power"
 	"thermogater/internal/telemetry"
@@ -74,22 +73,12 @@ type Runner struct {
 	pdnSteadySolves    int64
 	pdnTransientSolves int64
 
-	// Parallel epoch pipeline state, set up per runMeasured call. pool is
-	// nil when Workers < 2; the nil pool runs the identical deferred
-	// pipeline inline, so there is no separate sequential code path.
-	// stepCurrents/stepMasks capture the per-substep current map and
-	// gating masks so the PDN phase can be evaluated once per epoch,
-	// fanned out by domain (each domain's grid caches are touched by
-	// exactly one worker) and reduced serially in (substep, domain)
-	// order. The per-domain solver tallies keep workers off the shared
-	// counters.
-	pool            *par.Pool
-	stepCurrents    [][]float64
-	stepMasks       [][][]bool
-	pdnCells        [][]pdnCell
-	pdnScratch      []pdn.DomainNoise
-	pdnDomSteady    []int64
-	pdnDomTransient []int64
+	// Deferred PDN phase state: stepCurrents/stepMasks capture each
+	// substep's current map and gating masks so the voltage noise of the
+	// whole epoch is evaluated once, after the substep loop (see pdnEpoch).
+	stepCurrents [][]float64
+	stepMasks    [][][]bool
+	pdnNoise     pdn.DomainNoise
 
 	// Per-epoch hot-path scratch, sized once in New so the steady-state
 	// epoch loop (stepEpoch, produceEpoch) allocates nothing — the
@@ -101,17 +90,12 @@ type Runner struct {
 	avgDomainCur    []float64
 	epochVRLoss     []float64
 	epochDomEmerg   []bool
-	frameCur        [][]float64      // per-substep oracle current maps
-	frameErrs       []error          // per-substep fan-out errors
-	frameBufs       [2][]uarch.Frame // producer's alternating epoch buffers
-	frameBuf        int              // buffer produceEpoch fills next
-	curFrames       []uarch.Frame    // frames of the epoch being decided
-	emgMasks        [][]bool         // domainEmergency's tentative masks
+	frameCur        [][]float64   // per-substep oracle current maps
+	frames          []uarch.Frame // recycled epoch frame buffer
+	emgMasks        [][]bool      // domainEmergency's tentative masks
 	emgNoise        []pdn.DomainNoise
-	govIn           core.Inputs      // reused governor inputs, closures bound once
-	epochSpan       *telemetry.Span  // recycled per-epoch span tree
-	frameCurFn      func(lo, hi int) // prebuilt oracle-current fan-out worker
-	pdnDomFn        func(lo, hi int) // prebuilt deferred-PDN fan-out worker
+	govIn           core.Inputs     // reused governor inputs, closures bound once
+	epochSpan       *telemetry.Span // recycled per-epoch span tree
 
 	// Per-run epoch-loop state, assembled by beginRun, advanced one
 	// epoch per stepEpoch call, aggregated by finishRun.
@@ -119,20 +103,17 @@ type Runner struct {
 	runStart       int
 	runNEpochs     int
 	runSampleEvery int
-	runNextFrames  func(e int) frameBatch
+	usim           *uarch.Simulator
 
 	// runCtx is the cancellation context of the current run (nil when the
-	// run was started without one — see ctxErr). It is set before the
-	// producer goroutine spawns and only read afterwards, by both the
-	// producer (to capture a resumable uarch snapshot once cancellation is
-	// requested) and the epoch loop (to stop at the next boundary that has
-	// one).
+	// run was started without one — see ctxErr). The epoch loop polls it
+	// to capture a resumable uarch snapshot once cancellation is requested
+	// and to stop at the next boundary that has one.
 	runCtx context.Context
 }
 
-// pdnCell is one (substep, domain) result of the deferred PDN phase: the
-// fan-out writes cells, the serial reduction folds them into the epoch
-// accumulators in the same order the former per-substep loop did.
+// pdnCell is one (substep, domain) result of the deferred PDN phase,
+// folded into the epoch accumulators by pdnEpoch.
 type pdnCell struct {
 	noise      float64 // max of the steady MaxPct and any burst peak
 	maxBlock   int     // global block ID of the steady-noise maximum
@@ -140,18 +121,6 @@ type pdnCell struct {
 	steadyEmg  bool    // steady IR drop crossed the emergency threshold
 	burstEmg   bool    // a burst peak crossed it while the steady drop did not
 	dead       bool    // every regulator stuck off; standing emergency
-	err        error
-}
-
-// frameBatch is one epoch of activity frames handed from the producer to
-// the physics loop, plus the uarch snapshot when the epoch ends at a
-// checkpoint boundary. panicked carries a producer panic so it can be
-// re-raised on the goroutine that owns the run.
-type frameBatch struct {
-	frames   []uarch.Frame
-	state    *uarch.State
-	err      error
-	panicked any
 }
 
 // New builds a runner. The floorplan, power model, thermal network, PDN,
@@ -231,7 +200,9 @@ func New(cfg Config) (*Runner, error) {
 
 	// Per-epoch scratch and the deferred-PDN capture buffers: everything
 	// the epoch loop touches is sized here, once, so stepEpoch runs
-	// allocation-free in steady state.
+	// allocation-free in steady state. The frames' interior slices
+	// (Activity, IPC, Bursts) grow to their steady sizes during the first
+	// epoch and are recycled by uarch.StepInto from then on.
 	r.avgActivity = make([]float64, len(chip.Blocks))
 	r.avgBlockPower = make([]float64, len(chip.Blocks))
 	r.avgBlockCurrent = make([]float64, len(chip.Blocks))
@@ -242,13 +213,7 @@ func New(cfg Config) (*Runner, error) {
 	for s := range r.frameCur {
 		r.frameCur[s] = make([]float64, len(chip.Blocks))
 	}
-	r.frameErrs = make([]error, r.stepsPerEpoch)
-	for b := range r.frameBufs {
-		// The frames' interior slices (Activity, IPC, Bursts) grow to
-		// their steady sizes during the first two epochs and are
-		// recycled by uarch.StepInto from then on.
-		r.frameBufs[b] = make([]uarch.Frame, r.stepsPerEpoch)
-	}
+	r.frames = make([]uarch.Frame, r.stepsPerEpoch)
 	r.emgMasks = make([][]bool, len(chip.Domains))
 	for d := range r.emgMasks {
 		r.emgMasks[d] = make([]bool, len(chip.Domains[d].Regulators))
@@ -263,13 +228,6 @@ func New(cfg Config) (*Runner, error) {
 			r.stepMasks[s][d] = make([]bool, len(chip.Domains[d].Regulators))
 		}
 	}
-	r.pdnCells = make([][]pdnCell, len(chip.Domains))
-	for d := range r.pdnCells {
-		r.pdnCells[d] = make([]pdnCell, r.stepsPerEpoch)
-	}
-	r.pdnScratch = make([]pdn.DomainNoise, len(chip.Domains))
-	r.pdnDomSteady = make([]int64, len(chip.Domains))
-	r.pdnDomTransient = make([]int64, len(chip.Domains))
 	// The governor inputs are reused every epoch: the slice fields alias
 	// the runner's scratch (refreshed in place each epoch) and the two
 	// callbacks are bound once so the decision phase allocates nothing.
@@ -282,27 +240,7 @@ func New(cfg Config) (*Runner, error) {
 		PredictVRTempOn:     r.predictVRTempOn,
 	}
 	r.govIn.DomainEmergency = func(d, count int, ranking []int) bool {
-		return r.domainEmergency(d, count, ranking, r.frameCur, r.curFrames)
-	}
-	// Prebuilt fan-out workers: a closure created inside the epoch loop
-	// would allocate per epoch, so both workers are bound once here and
-	// read the current epoch's frames through r.curFrames.
-	r.frameCurFn = func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			bp, ferr := r.blockPowerScaled(r.curFrames[s].Activity, r.blockTemps, r.frameCur[s])
-			if ferr != nil {
-				r.frameErrs[s] = ferr
-				continue
-			}
-			for i, p := range bp {
-				bp[i] = power.WattsToAmps(p)
-			}
-		}
-	}
-	r.pdnDomFn = func(lo, hi int) {
-		for d := lo; d < hi; d++ {
-			r.pdnDomain(d, r.curFrames)
-		}
+		return r.domainEmergency(d, count, ranking, r.frameCur, r.frames)
 	}
 	if cfg.TrackAging {
 		tr, err := aging.NewTracker(len(chip.Regulators), aging.DefaultModel())
@@ -416,38 +354,23 @@ func (r *Runner) epochFrames(sim *uarch.Simulator) ([]uarch.Frame, error) {
 	return frames, nil
 }
 
-// produceEpoch advances the activity simulator one epoch, filling the
-// next of the runner's two recycled frame buffers in place. Two buffers
-// suffice at any worker count: the producer→consumer handoff is an
-// unbuffered channel, so by the time the send of batch N+1 completes the
-// consumer has finished epoch N — the buffer being refilled is never the
-// one being read. Everything the physics loop retains across epochs
-// (stepCurrents, the worst-noise snapshot, uarch.State) is copied out of
-// the frames, never aliased.
-func (r *Runner) produceEpoch(usim *uarch.Simulator) ([]uarch.Frame, error) {
-	frames := r.frameBufs[r.frameBuf]
-	r.frameBuf = 1 - r.frameBuf
-	for s := range frames {
-		if err := usim.StepInto(r.cfg.SubstepMS, &frames[s]); err != nil {
-			return nil, err
+// produceEpoch advances the activity simulator one epoch, refilling the
+// runner's recycled frame buffer in place. Everything the physics loop
+// retains across epochs (stepCurrents, the worst-noise snapshot,
+// uarch.State) is copied out of the frames, never aliased. On checkpoint
+// epochs, and on every epoch once cancellation is requested, it also
+// returns the uarch snapshot the epoch's checkpoint resumes from.
+func (r *Runner) produceEpoch(e int) ([]uarch.Frame, *uarch.State, error) {
+	for s := range r.frames {
+		if err := r.usim.StepInto(r.cfg.SubstepMS, &r.frames[s]); err != nil {
+			return nil, nil, err
 		}
 	}
-	return frames, nil
-}
-
-// produceBatch wraps one produceEpoch call into the handoff envelope,
-// capturing the uarch snapshot on checkpoint epochs.
-func (r *Runner) produceBatch(usim *uarch.Simulator, e int) frameBatch {
-	frames, ferr := r.produceEpoch(usim)
-	b := frameBatch{frames: frames, err: ferr}
-	if ferr == nil && (r.wantCheckpoint(e) || r.ctxErr() != nil) {
-		// Once cancellation is requested, every produced epoch carries a
-		// snapshot so the consumer can stop at its next boundary with a
-		// complete resumable state (checkpoint-on-cancel).
+	if r.wantCheckpoint(e) || r.ctxErr() != nil {
 		//perf:alloc uarch snapshot on checkpoint epochs and after cancellation only
-		b.state = usim.State()
+		return r.frames, r.usim.State(), nil
 	}
-	return b
+	return r.frames, nil, nil
 }
 
 // wantCheckpoint reports whether epoch e ends at a checkpoint boundary.
@@ -555,85 +478,63 @@ func (r *Runner) domainEmergency(d, count int, ranking []int, frameCurrents [][]
 	return false
 }
 
-// pdnDomain evaluates one domain's voltage noise for every substep of the
-// epoch, writing r.pdnCells[d]. It reads only the per-substep captures
-// (stepCurrents, stepMasks) and domain-local state (the grid's per-domain
-// resistance cache, r.pdnScratch[d], the per-domain solve tallies), so
-// concurrent calls for distinct domains never share mutable state — the
-// disjoint-writes half of the par.Pool determinism contract.
-func (r *Runner) pdnDomain(d int, frames []uarch.Frame) {
-	cells := r.pdnCells[d]
-	for s, f := range frames {
-		c := &cells[s]
-		*c = pdnCell{maxBlock: -1}
-		if r.flt != nil && r.fltAvailN[d] == 0 {
-			// Dead domain (every regulator stuck off): there is no active
-			// regulator to solve the grid against; the blocks are browned
-			// out, which counts as a standing emergency. The demand
-			// violation was recorded when the decision was applied.
-			c.dead = true
+// pdnSubstep evaluates domain d's voltage noise at substep s of the epoch
+// from the captured current map and gating mask.
+func (r *Runner) pdnSubstep(d, s int, f uarch.Frame) (pdnCell, error) {
+	if r.flt != nil && r.fltAvailN[d] == 0 {
+		// Dead domain (every regulator stuck off): there is no active
+		// regulator to solve the grid against; the blocks are browned
+		// out, which counts as a standing emergency. The demand
+		// violation was recorded when the decision was applied.
+		return pdnCell{maxBlock: -1, dead: true}, nil
+	}
+	cur := r.stepCurrents[s]
+	mask := r.stepMasks[s][d]
+	dn := &r.pdnNoise
+	r.pdnSteadySolves++
+	if err := r.grid.SteadyNoiseInto(d, cur, mask, dn); err != nil {
+		return pdnCell{}, err
+	}
+	c := pdnCell{noise: dn.MaxPct, maxBlock: dn.MaxBlock, steadyEmg: dn.Emergency()}
+	// Burst peaks within this substep.
+	t0 := f.TimeMS
+	t1 := f.TimeMS + f.DtMS
+	for _, b := range f.Bursts {
+		if b.Core != r.burstDomainCore(d) || b.TimeMS < t0 || b.TimeMS >= t1 {
 			continue
 		}
-		cur := r.stepCurrents[s]
-		mask := r.stepMasks[s][d]
-		dn := &r.pdnScratch[d]
-		r.pdnDomSteady[d]++
-		if err := r.grid.SteadyNoiseInto(d, cur, mask, dn); err != nil {
-			c.err = err
-			continue
+		bi, surge := r.burstTarget(d, b, cur)
+		r.pdnTransientSolves++
+		peak := r.grid.BurstPeakPct(d, bi, dn.PerBlockPct[bi], surge, mask, b.Cycles, uarch.ClockGHz)
+		if peak > c.noise {
+			c.noise = peak
 		}
-		c.noise = dn.MaxPct
-		c.maxBlock = dn.MaxBlock
-		c.steadyEmg = dn.Emergency()
-		// Burst peaks within this substep.
-		t0 := f.TimeMS
-		t1 := f.TimeMS + f.DtMS
-		for _, b := range f.Bursts {
-			if b.Core != r.burstDomainCore(d) || b.TimeMS < t0 || b.TimeMS >= t1 {
-				continue
-			}
-			bi, surge := r.burstTarget(d, b, cur)
-			r.pdnDomTransient[d]++
-			peak := r.grid.BurstPeakPct(d, bi, dn.PerBlockPct[bi], surge, mask, b.Cycles, uarch.ClockGHz)
-			if peak > c.noise {
-				c.noise = peak
-			}
-			if peak > pdn.EmergencyThresholdPct && !c.steadyEmg {
-				c.burstDwell += float64(b.Cycles) / (uarch.ClockGHz * 1e9)
-				c.burstEmg = true
-			}
+		if peak > pdn.EmergencyThresholdPct && !c.steadyEmg {
+			c.burstDwell += float64(b.Cycles) / (uarch.ClockGHz * 1e9)
+			c.burstEmg = true
 		}
 	}
+	return c, nil
 }
 
 // pdnEpoch is the deferred PDN phase: the noise of every (substep, domain)
-// pair of the just-executed epoch, fanned out by domain and reduced
-// serially in (substep, domain) order — exactly the order the former
-// per-substep loop visited, so every accumulator, tie-break and sampling
-// decision lands on the same values at any worker count. Deferring is
-// legal because nothing inside the epoch reads the PDN's outputs: the
-// masks and currents are captured per substep, and the results feed only
-// the measurement accumulators and the end-of-epoch governor feedback. A
-// substep counts toward emergency time once, no matter how many domains
-// cross the threshold; short burst excursions add their own (cycle-scale)
-// dwell.
+// pair of the just-executed epoch, evaluated and folded into the epoch
+// accumulators in (substep, domain) order. Deferring is legal because
+// nothing inside the epoch reads the PDN's outputs: the masks and
+// currents are captured per substep, and the results feed only the
+// measurement accumulators and the end-of-epoch governor feedback. Each
+// domain's grid caches still see its substeps in order. A substep counts
+// toward emergency time once, no matter how many domains cross the
+// threshold; short burst excursions add their own (cycle-scale) dwell.
 func (r *Runner) pdnEpoch(frames []uarch.Frame, measuring bool, sampleEvery, msBase int, epochDomEmerg []bool, epochMaxNoise *float64, ms *MeasureState, res *Result) error {
-	nd := len(r.chip.Domains)
-	r.pool.For(nd, r.pdnDomFn)
-	for d := 0; d < nd; d++ {
-		r.pdnSteadySolves += r.pdnDomSteady[d]
-		r.pdnTransientSolves += r.pdnDomTransient[d]
-		r.pdnDomSteady[d] = 0
-		r.pdnDomTransient[d] = 0
-	}
-	for s := range frames {
+	for s, f := range frames {
 		substepEmergency := false
 		var burstDwell float64
 		var substepNoise float64
-		for d := 0; d < nd; d++ {
-			c := &r.pdnCells[d][s]
-			if c.err != nil {
-				return c.err
+		for d := range r.chip.Domains {
+			c, err := r.pdnSubstep(d, s, f)
+			if err != nil {
+				return err
 			}
 			if c.dead {
 				substepEmergency = true
@@ -656,7 +557,7 @@ func (r *Runner) pdnEpoch(frames []uarch.Frame, measuring bool, sampleEvery, msB
 			}
 			if measuring && c.noise > ms.WorstNoise {
 				ms.WorstNoise = c.noise
-				res.WorstNoise = r.snapshotWorstNoise(d, c.maxBlock, r.stepCurrents[s], r.stepMasks[s][d], frames[s], frames)
+				res.WorstNoise = r.snapshotWorstNoise(d, c.maxBlock, r.stepCurrents[s], r.stepMasks[s][d], f, frames)
 			}
 		}
 		if measuring {
@@ -740,8 +641,8 @@ func (r *Runner) Run() (*Result, error) {
 
 // RunContext executes the configured simulation under ctx. Cancellation
 // is epoch-granular: the loop polls the context once per epoch and stops
-// at the next epoch boundary where the activity producer has captured a
-// uarch snapshot, returning a *CancelError whose Checkpoint resumes the
+// at the next epoch boundary that has captured a uarch snapshot,
+// returning a *CancelError whose Checkpoint resumes the
 // run byte-identically (see cancel.go). The poll is a single interface
 // call, so the steady-state epoch loop stays allocation-free.
 func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
@@ -766,18 +667,16 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 }
 
 // runMeasured executes the measured run with whatever predictor state the
-// governor already holds: beginRun assembles the per-run state (pool,
-// producer, measurement accumulators), stepEpoch advances one epoch at a
+// governor already holds: beginRun assembles the per-run state (activity
+// simulator, measurement accumulators), stepEpoch advances one epoch at a
 // time, and finishRun folds the accumulators into the Result.
 func (r *Runner) runMeasured() (*Result, error) {
 	if invariant.Enabled {
 		defer invariant.ResetCtx()
 	}
-	cleanup, err := r.beginRun()
-	if err != nil {
+	if err := r.beginRun(); err != nil {
 		return nil, err
 	}
-	defer cleanup()
 	for e := r.runStart; e < r.runNEpochs; e++ {
 		if err := r.stepEpoch(e); err != nil {
 			return nil, err
@@ -786,47 +685,23 @@ func (r *Runner) runMeasured() (*Result, error) {
 	return r.finishRun()
 }
 
-// beginRun assembles the per-run state: the worker pool, the uarch
-// producer (its own goroutine when a pool is attached), the measurement
-// accumulators — restored from a checkpoint when resuming — and the
-// initial thermal field. The returned cleanup tears the pipeline down;
-// runMeasured defers it so it also runs when the epoch loop fails.
-func (r *Runner) beginRun() (func(), error) {
+// beginRun assembles the per-run state: the activity simulator, the
+// measurement accumulators — restored from a checkpoint when resuming —
+// and the initial thermal field.
+func (r *Runner) beginRun() error {
 	resume := r.resume
 	r.resume = nil
 
-	// The worker pool lives for exactly one measured run; the nil pool
-	// (Workers < 2) runs every fan-out inline. The fine-grid thermal
-	// model row-partitions its substeps on the same pool; the compact
-	// model ignores it below its node threshold.
-	pool := par.New(r.cfg.Workers)
-	r.pool = pool
-	r.tm.SetPool(pool)
-	var quit chan struct{}
-	cleanup := func() {
-		if quit != nil {
-			close(quit) // unblocks the producer before the pool goes away
-		}
-		r.tm.SetPool(nil)
-		r.pool = nil
-		pool.Close()
-		r.runNextFrames = nil
-	}
-	fail := func(err error) (func(), error) {
-		cleanup()
-		return nil, err
-	}
-
 	usim, err := r.cfg.newUarch(r.chip, r.cfg.Seed)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 
 	var ms *MeasureState
 	r.runStart = 0
 	if resume != nil {
 		if err := usim.Restore(resume.Uarch); err != nil {
-			return fail(err)
+			return err
 		}
 		// Clone so the checkpoint stays reusable: the same snapshot can be
 		// restored into several runners without them sharing result buffers.
@@ -852,7 +727,7 @@ func (r *Runner) beginRun() (func(), error) {
 		// Initialise the thermal state: steady state for the first epoch's
 		// power with everything on (a neutral, reproducible starting point).
 		if err := r.initThermal(); err != nil {
-			return fail(err)
+			return err
 		}
 		r.tm.VRTemps(r.vrTemps)
 		copy(r.sensorVRTemps, r.vrTemps)
@@ -862,7 +737,7 @@ func (r *Runner) beginRun() (func(), error) {
 
 	totalEpochs := r.cfg.durationMS()
 	if totalEpochs < 1 {
-		return fail(errors.New("sim: empty run"))
+		return errors.New("sim: empty run")
 	}
 	nEpochs := int(float64(totalEpochs) / r.cfg.EpochMS)
 	if nEpochs < 1 {
@@ -887,59 +762,18 @@ func (r *Runner) beginRun() (func(), error) {
 		res.VRTrace = make([]VRSample, 0, (nEpochs-r.runStart)*r.stepsPerEpoch)
 	}
 	r.epochSpan = nil
-	r.frameBuf = 0
-
-	// Activity production. With a pool the uarch simulator advances on
-	// its own goroutine, one epoch ahead of the physics; without one the
-	// same accessor computes inline. Either way the producer is the sole
-	// owner of usim from here on, and it captures the uarch snapshot for
-	// exactly the epochs the checkpoint sink will want — the state right
-	// after an epoch's frames is what the sequential loop would have
-	// snapshotted at that epoch's end.
-	r.runNextFrames = func(e int) frameBatch { return r.produceBatch(usim, e) }
-	if pool != nil {
-		start := r.runStart
-		frameCh := make(chan frameBatch)
-		quit = make(chan struct{})
-		//par:disjoint the goroutine solely owns usim and the frame buffers; each batch's ownership transfers to the consumer through the unbuffered frameCh handoff
-		go func() {
-			defer func() {
-				if p := recover(); p != nil {
-					//par:ordered sole producer handing the consumer its last batch; quit only fires on teardown
-					select {
-					case frameCh <- frameBatch{panicked: p}:
-					case <-quit:
-					}
-				}
-			}()
-			for e := start; e < nEpochs; e++ {
-				//par:disjoint the producer goroutine is the sole owner of usim and the frame buffers; batches transfer ownership through frameCh
-				b := r.produceBatch(usim, e)
-				//par:ordered unbuffered 1:1 producer->consumer handoff; epochs arrive in loop order
-				select {
-				case frameCh <- b:
-				case <-quit:
-					return
-				}
-				if b.err != nil {
-					return
-				}
-			}
-		}()
-		r.runNextFrames = func(int) frameBatch { return <-frameCh }
-	}
-
+	r.usim = usim
 	r.ins.syncBaselines(r)
-	return cleanup, nil
+	return nil
 }
 
-// stepEpoch advances the measured run by one epoch: frames from the
-// producer, the epoch-average demand, the governor decision, the substep
+// stepEpoch advances the measured run by one epoch: the activity frames,
+// the epoch-average demand, the governor decision, the substep
 // physics loop, the deferred PDN phase, epoch bookkeeping, telemetry and
 // checkpointing. It is the hot root of the tgperf lint passes: in steady
 // state — buffers sized, caches warm, telemetry detached — one call
-// performs no heap allocation at any worker count, and
-// internal/sim/alloc_test.go holds that line dynamically.
+// performs no heap allocation, and internal/sim/alloc_test.go holds that
+// line dynamically.
 func (r *Runner) stepEpoch(e int) error {
 	ms := r.runMS
 	res := ms.Res
@@ -960,16 +794,11 @@ func (r *Runner) stepEpoch(e int) error {
 		r.epochSpan = epSpan
 	}
 	phase := epSpan.StartChild("uarch")
-	batch := r.runNextFrames(e)
+	frames, ustate, err := r.produceEpoch(e)
 	phase.End()
-	if batch.panicked != nil {
-		panic(fmt.Sprintf("sim: uarch producer panic: %v", batch.panicked))
+	if err != nil {
+		return err
 	}
-	if batch.err != nil {
-		return batch.err
-	}
-	frames := batch.frames
-	r.curFrames = frames
 	if r.flt != nil {
 		r.applyActivityFaults(frames, res)
 	}
@@ -992,19 +821,17 @@ func (r *Runner) stepEpoch(e int) error {
 
 	// Per-substep current maps for the emergency oracle (leakage at
 	// epoch-start temperatures, like the rest of the decision inputs),
-	// written into the preallocated frameCur rows. Frames are independent
-	// given the epoch-start temperatures, so this fans out; the
-	// per-index writes are disjoint.
-	for s := range r.frameErrs {
-		r.frameErrs[s] = nil
-	}
-	r.pool.For(len(frames), r.frameCurFn)
-	phase.End()
-	for _, ferr := range r.frameErrs {
-		if ferr != nil {
-			return ferr
+	// written into the preallocated frameCur rows.
+	for s, f := range frames {
+		bp, err := r.blockPowerScaled(f.Activity, r.blockTemps, r.frameCur[s])
+		if err != nil {
+			return err
+		}
+		for i, p := range bp {
+			bp[i] = power.WattsToAmps(p)
 		}
 	}
+	phase.End()
 
 	// Decision. The governor phase includes the emergency-oracle PDN
 	// solves the VT policies request through the callbacks bound in New;
@@ -1331,24 +1158,20 @@ func (r *Runner) stepEpoch(e int) error {
 	// use to interrupt deterministically.
 	if r.wantCheckpoint(e) {
 		r.ins.checkpoints.Inc()
-		if batch.state == nil {
-			return errors.New("sim: checkpoint epoch without a captured uarch state")
-		}
-		if err := r.cfg.Checkpoint.Sink(r.snapshot(e, batch.state, ms)); err != nil {
+		if err := r.cfg.Checkpoint.Sink(r.snapshot(e, ustate, ms)); err != nil {
 			return fmt.Errorf("sim: checkpoint sink: %w", err)
 		}
 	}
 
-	// Cancellation stop: once the context is done, the first epoch whose
-	// batch carries a producer-captured uarch snapshot is the boundary the
-	// run halts at, with a complete resumable checkpoint in the error. An
-	// epoch consumed after cancellation but produced before it (the
-	// parallel producer runs one epoch ahead) has no snapshot and simply
-	// completes; the next one stops.
-	if r.ctxErr() != nil && batch.state != nil {
+	// Cancellation stop: once the context is done, the first epoch that
+	// captured a uarch snapshot is the boundary the run halts at, with a
+	// complete resumable checkpoint in the error. An epoch whose frames
+	// were produced before cancellation was requested has no snapshot and
+	// simply completes; the next one stops.
+	if r.ctxErr() != nil && ustate != nil {
 		return &CancelError{
 			Epoch:      e,
-			Checkpoint: r.snapshot(e, batch.state, ms),
+			Checkpoint: r.snapshot(e, ustate, ms),
 			Cause:      cancelCause(r.runCtx),
 		}
 	}

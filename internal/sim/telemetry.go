@@ -153,7 +153,7 @@ func (in *instruments) observeEpoch(r *Runner, ep *telemetry.Span, st epochStats
 	// The mask-cache tallies go to the pdn_mask_cache_total counters but
 	// deliberately NOT into this record: cache warmth is process state,
 	// not simulation state (a resumed run starts cold), and the record
-	// stream must be byte-identical across resume and worker counts.
+	// stream must be byte-identical across resume.
 	rec.Add("thermal_substeps", dThermal).
 		Add("pdn_steady_solves", dSteady).
 		Add("pdn_transient_solves", dTrans).

@@ -7,7 +7,6 @@ import (
 
 	"thermogater/internal/floorplan"
 	"thermogater/internal/invariant"
-	"thermogater/internal/par"
 )
 
 // GridModel is the fine-grid counterpart of the compact block-mode Model —
@@ -40,15 +39,7 @@ type GridModel struct {
 	gVert      float64 // die cell → spreader cell
 	gSink      float64 // spreader cell → sink
 	ambientG   float64
-
-	pool *par.Pool // optional row-partitioning pool (see SetPool)
 }
-
-// SetPool hands the lattice a worker pool: die and spreader sweeps
-// row-partition across it when the lattice clears parRowThreshold cells.
-// The sink-node reduction and the serial sum order inside each cell are
-// unchanged, so temperatures are bit-identical at any worker count.
-func (g *GridModel) SetPool(p *par.Pool) { g.pool = p }
 
 // NewGridModel rasterises the chip onto an nx×ny lattice.
 func NewGridModel(chip *floorplan.Chip, cfg Config, nx, ny int) (*GridModel, error) {
@@ -164,56 +155,47 @@ func (g *GridModel) Step(dtS float64) error {
 	if g.delta == nil {
 		g.delta = make([]float64, len(g.temp))
 	}
-	pool := g.pool
-	if g.n < parRowThreshold {
-		pool = nil // inline: barrier cost would dominate a small lattice
-	}
 	for s := 0; s < steps; s++ {
 		// Die layer.
-		pool.For(g.n, func(lo, hi int) {
-			for idx := lo; idx < hi; idx++ {
-				ix := idx % g.nx
-				iy := idx / g.nx
-				q := g.power[idx] + g.gVert*(g.temp[g.n+idx]-g.temp[idx])
-				if ix > 0 {
-					q += g.gLatDie * (g.temp[idx-1] - g.temp[idx])
-				}
-				if ix < g.nx-1 {
-					q += g.gLatDie * (g.temp[idx+1] - g.temp[idx])
-				}
-				if iy > 0 {
-					q += g.gLatDie * (g.temp[idx-g.nx] - g.temp[idx])
-				}
-				if iy < g.ny-1 {
-					q += g.gLatDie * (g.temp[idx+g.nx] - g.temp[idx])
-				}
-				g.delta[idx] = h * q / cDie
+		for idx := 0; idx < g.n; idx++ {
+			ix := idx % g.nx
+			iy := idx / g.nx
+			q := g.power[idx] + g.gVert*(g.temp[g.n+idx]-g.temp[idx])
+			if ix > 0 {
+				q += g.gLatDie * (g.temp[idx-1] - g.temp[idx])
 			}
-		})
+			if ix < g.nx-1 {
+				q += g.gLatDie * (g.temp[idx+1] - g.temp[idx])
+			}
+			if iy > 0 {
+				q += g.gLatDie * (g.temp[idx-g.nx] - g.temp[idx])
+			}
+			if iy < g.ny-1 {
+				q += g.gLatDie * (g.temp[idx+g.nx] - g.temp[idx])
+			}
+			g.delta[idx] = h * q / cDie
+		}
 		// Spreader layer.
-		pool.For(g.n, func(lo, hi int) {
-			for idx := lo; idx < hi; idx++ {
-				sp := g.n + idx
-				ix := idx % g.nx
-				iy := idx / g.nx
-				q := g.gVert*(g.temp[idx]-g.temp[sp]) + g.gSink*(g.temp[g.sink]-g.temp[sp])
-				if ix > 0 {
-					q += g.gLatSpread * (g.temp[sp-1] - g.temp[sp])
-				}
-				if ix < g.nx-1 {
-					q += g.gLatSpread * (g.temp[sp+1] - g.temp[sp])
-				}
-				if iy > 0 {
-					q += g.gLatSpread * (g.temp[sp-g.nx] - g.temp[sp])
-				}
-				if iy < g.ny-1 {
-					q += g.gLatSpread * (g.temp[sp+g.nx] - g.temp[sp])
-				}
-				g.delta[sp] = h * q / cSp
+		for idx := 0; idx < g.n; idx++ {
+			sp := g.n + idx
+			ix := idx % g.nx
+			iy := idx / g.nx
+			q := g.gVert*(g.temp[idx]-g.temp[sp]) + g.gSink*(g.temp[g.sink]-g.temp[sp])
+			if ix > 0 {
+				q += g.gLatSpread * (g.temp[sp-1] - g.temp[sp])
 			}
-		})
-		// Sink node: a whole-lattice reduction, kept serial in spreader
-		// index order so its sum is bit-identical at any pool width.
+			if ix < g.nx-1 {
+				q += g.gLatSpread * (g.temp[sp+1] - g.temp[sp])
+			}
+			if iy > 0 {
+				q += g.gLatSpread * (g.temp[sp-g.nx] - g.temp[sp])
+			}
+			if iy < g.ny-1 {
+				q += g.gLatSpread * (g.temp[sp+g.nx] - g.temp[sp])
+			}
+			g.delta[sp] = h * q / cSp
+		}
+		// Sink node: a whole-lattice reduction in spreader index order.
 		{
 			q := g.ambientG * (g.cfg.AmbientC - g.temp[g.sink])
 			for idx := 0; idx < g.n; idx++ {
@@ -221,11 +203,9 @@ func (g *GridModel) Step(dtS float64) error {
 			}
 			g.delta[g.sink] = h * q / g.cfg.SinkCapJPerK
 		}
-		pool.For(len(g.temp), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				g.temp[i] += g.delta[i]
-			}
-		})
+		for i := range g.temp {
+			g.temp[i] += g.delta[i]
+		}
 	}
 	if invariant.Enabled {
 		invariant.CheckTempBounds("thermal.GridModel.temp", g.temp, g.cfg.AmbientC, math.Inf(1))

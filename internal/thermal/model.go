@@ -7,7 +7,6 @@ import (
 
 	"thermogater/internal/floorplan"
 	"thermogater/internal/invariant"
-	"thermogater/internal/par"
 )
 
 // edge is one conductive link of the RC network.
@@ -40,14 +39,6 @@ type Model struct {
 	maxRate float64   // max over nodes of ΣG/C, 1/s
 	delta   []float64 // scratch buffer for Step
 
-	// Prebuilt sweep workers for stepCapped. Building them once in
-	// NewModel keeps the per-substep fan-out allocation-free; they read
-	// the substep size from stepH (set by stepCapped before each pass)
-	// and the scratch buffer from delta at call time.
-	stepH   float64
-	rowsFn  func(lo, hi int)
-	applyFn func(lo, hi int)
-
 	// CSR flattening of adj, rebuilt by cacheRates: the neighbours of
 	// node i are flatTo[rowStart[i]:rowStart[i+1]] with conductances
 	// flatG at the same offsets, in adj order — so the flat sweep in
@@ -57,15 +48,8 @@ type Model struct {
 	flatTo   []int32
 	flatG    []float64
 
-	pool *par.Pool // optional row-partitioning pool (see SetPool)
-
 	substeps int64 // cumulative internal Euler substeps across all Step calls
 }
-
-// parRowThreshold is the node count below which stepCapped ignores the
-// pool: the compact model's ~200 nodes finish in well under the cost of
-// waking workers, so only fine-grid models (GridModel) fan out.
-const parRowThreshold = 2048
 
 // NewModel builds the RC network for the chip, initialised to the ambient
 // temperature with zero power.
@@ -95,31 +79,6 @@ func NewModel(chip *floorplan.Chip, cfg Config) (*Model, error) {
 	m.ambientG = make([]float64, m.nNodes)
 	m.power = make([]float64, m.nNodes)
 	m.temp = make([]float64, m.nNodes)
-
-	// The stepCapped sweep workers, built once so per-substep fan-outs
-	// hand the pool an existing closure instead of allocating one. They
-	// load delta and stepH through m because both change after this
-	// point (delta is lazily sized, stepH per stepCapped call).
-	m.rowsFn = func(lo, hi int) {
-		delta, h := m.delta, m.stepH
-		for i := lo; i < hi; i++ {
-			q := m.power[i]
-			ti := m.temp[i]
-			for k := m.rowStart[i]; k < m.rowStart[i+1]; k++ {
-				q += m.flatG[k] * (m.temp[m.flatTo[k]] - ti)
-			}
-			if m.ambientG[i] > 0 {
-				q += m.ambientG[i] * (m.cfg.AmbientC - ti)
-			}
-			delta[i] = h * q / m.capJPerK[i]
-		}
-	}
-	m.applyFn = func(lo, hi int) {
-		delta := m.delta
-		for i := lo; i < hi; i++ {
-			m.temp[i] += delta[i]
-		}
-	}
 
 	// Node capacitances.
 	for i, b := range chip.Blocks {
@@ -225,12 +184,6 @@ func (m *Model) cacheRates() {
 	m.rowStart[m.nNodes] = int32(k)
 }
 
-// SetPool hands the model a worker pool for row-partitioned substeps.
-// Only models above parRowThreshold nodes use it; the compact network
-// stays serial either way, so temperatures are identical at any width.
-// A nil pool (or nil receiver use) reverts to inline execution.
-func (m *Model) SetPool(p *par.Pool) { m.pool = p }
-
 // Chip returns the floorplan the model was built from.
 func (m *Model) Chip() *floorplan.Chip { return m.chip }
 
@@ -294,21 +247,25 @@ func (m *Model) stepCapped(dtS, capS float64) error {
 	if m.delta == nil {
 		m.delta = make([]float64, m.nNodes)
 	}
-	// Flat SoA sweep over the CSR arrays built by cacheRates. Each row i
-	// reads the whole temperature field but writes only delta[i], so the
-	// sweep row-partitions across the pool; the in-place temperature
-	// update runs after the full delta pass (two barriers per substep),
-	// keeping the arithmetic — and hence the trajectory — bit-identical
-	// to the serial loop at any worker count. The workers themselves are
-	// prebuilt in NewModel; only the substep size changes per call.
-	m.stepH = h
-	pool := m.pool
-	if m.nNodes < parRowThreshold {
-		pool = nil // inline: barrier cost would dominate the compact model
-	}
+	// Flat SoA sweep over the CSR arrays built by cacheRates. The
+	// in-place temperature update runs after the full delta pass, so every
+	// row reads the field as it stood at the start of the substep.
+	delta := m.delta
 	for s := 0; s < steps; s++ {
-		pool.For(m.nNodes, m.rowsFn)
-		pool.For(m.nNodes, m.applyFn)
+		for i := 0; i < m.nNodes; i++ {
+			q := m.power[i]
+			ti := m.temp[i]
+			for k := m.rowStart[i]; k < m.rowStart[i+1]; k++ {
+				q += m.flatG[k] * (m.temp[m.flatTo[k]] - ti)
+			}
+			if m.ambientG[i] > 0 {
+				q += m.ambientG[i] * (m.cfg.AmbientC - ti)
+			}
+			delta[i] = h * q / m.capJPerK[i]
+		}
+		for i := range delta {
+			m.temp[i] += delta[i]
+		}
 	}
 	return nil
 }

@@ -270,7 +270,7 @@ func clamp01(x float64) float64 {
 // Step advances the simulation by dtMS milliseconds and returns the
 // resulting activity frame. dtMS must be positive. It is the
 // convenience wrapper over StepInto and allocates a fresh frame per
-// call; per-epoch callers (the sim runner's producer) use StepInto
+// call; per-epoch callers (the sim runner's epoch loop) use StepInto
 // with recycled frames instead.
 func (s *Simulator) Step(dtMS float64) (Frame, error) {
 	var f Frame
