@@ -20,10 +20,9 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Domain-aware static analysis: the seven syntactic passes, the four
-# tgflow passes (cross-call unit propagation, NaN-taint tracking,
-# checkpoint field coverage, cache-flush contracts), the three tgperf
-# hot-path passes (allocfree, boxcheck, capgrow), and the four tgsync
+# Domain-aware static analysis: the five syntactic passes, the four
+# tgflow passes (unit propagation, NaN-taint tracking, checkpoint field
+# coverage, cache-flush contracts), and the four tgsync
 # synchronization-lifecycle passes (lockorder, unlockpath, blockheld,
 # golife) — see docs/STATIC_ANALYSIS.md.
 lint:
@@ -41,11 +40,10 @@ lint-json:
 lint-incremental:
 	$(GO) run ./cmd/tglint -cache .tglint-cache ./...
 
-# Hard zero-allocation gate on the steady-state epoch loop (the dynamic
-# counterpart of the tgperf lint passes — see docs/PERFORMANCE.md, "The
-# zero-allocation contract"). -count=1 defeats cached test verdicts;
-# never add -race here: its instrumentation allocates and the gate
-# requires exactly zero.
+# Hard zero-allocation gate on the steady-state epoch loop, one subtest
+# per policy (see docs/PERFORMANCE.md, "The zero-allocation contract").
+# -count=1 defeats cached test verdicts; never add -race here: its
+# instrumentation allocates and the gate requires exactly zero.
 alloc-gate:
 	$(GO) test -run TestStepEpochZeroAllocs -count=1 ./internal/sim/
 

@@ -125,7 +125,7 @@ func TestMeasureCacheControlAndAllocs(t *testing.T) {
 	}
 	// The paired-differencing allocation figures must witness the epoch
 	// loop's zero-allocation contract. This test's 30 ms window
-	// over-weights the annotated rare paths whose rate decays over a run
+	// over-weights the rare paths whose rate decays over a run
 	// (worst-noise snapshots, burst-buffer regrowth), so the bound here is
 	// looser than -check's 0.5: at the committed baseline's 150 ms
 	// duration the same figures land below 0.2 (see docs/PERFORMANCE.md).

@@ -1,11 +1,9 @@
-// Command tglint runs the repository's domain-aware static-analysis
-// passes — seven syntactic ones (unitcheck, detcheck, floatcheck,
-// errsink, aliascheck, goroutinecheck, invcheck), four tgflow passes
-// (unitflow, nanflow, statecover, cacheflush), the tgperf hot-path
-// family (allocfree, boxcheck, capgrow), and the tgsync
+// Command tglint runs the repository's thirteen domain-aware
+// static-analysis passes — five syntactic ones (detcheck, floatcheck,
+// errsink, aliascheck, invcheck), four tgflow passes (unitflow,
+// nanflow, statecover, cacheflush), and the tgsync
 // synchronization-lifecycle family (lockorder, unlockpath, blockheld,
-// golife); see
-// docs/STATIC_ANALYSIS.md — over go list package patterns:
+// golife); see docs/STATIC_ANALYSIS.md — over go list package patterns:
 //
 //	tglint ./...
 //	tglint -passes floatcheck,errsink ./internal/thermal

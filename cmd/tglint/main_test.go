@@ -25,8 +25,8 @@ func TestDriverFlagsSeededViolations(t *testing.T) {
 	}
 	out := stdout.String()
 	for _, want := range []string{
-		"[unitcheck] scale mismatch",
-		"[unitcheck] dimension mismatch",
+		"[unitflow] scale mismatch",
+		"[unitflow] dimension mismatch",
 		"[detcheck] time.Now",
 		"[detcheck] global math/rand",
 		"[detcheck] os.Getenv",
@@ -146,7 +146,7 @@ func TestDriverList(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list: exit %d, want 0", code)
 	}
-	for _, name := range []string{"unitcheck", "detcheck", "floatcheck", "errsink"} {
+	for _, name := range []string{"unitflow", "detcheck", "floatcheck", "errsink"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, stdout.String())
 		}

@@ -1,31 +1,21 @@
 // Package analysis is tglint's pass framework: a small, stdlib-only
 // counterpart of golang.org/x/tools/go/analysis tailored to this
-// repository's domain invariants. Eighteen passes ride on it:
+// repository's domain invariants. Thirteen passes ride on it:
 //
-//   - unitcheck:      unit-suffix consistency (tempC vs tempK, W vs mW, ...)
-//   - detcheck:       nondeterminism sources in simulation packages
-//   - floatcheck:     raw ==/!= on floating-point operands
-//   - errsink:        dropped error results from solver / sink APIs
-//   - aliascheck:     exported methods leaking receiver-held scratch buffers
-//   - goroutinecheck: unsynchronized writes to captured state in go closures
-//   - invcheck:       stepping entry points detached from the tgsan hooks
+//   - detcheck:   nondeterminism sources in simulation packages
+//   - floatcheck: raw ==/!= on floating-point operands
+//   - errsink:    dropped error results from solver / sink APIs
+//   - aliascheck: exported methods leaking receiver-held scratch buffers
+//   - invcheck:   stepping entry points detached from the tgsan hooks
 //
 // plus four passes built on the tgflow engine (cfg.go, callgraph.go,
 // dataflow.go, summary.go):
 //
-//   - unitflow:   unit propagation across call boundaries and struct fields
+//   - unitflow:   unit-suffix consistency (tempC vs tempK, W vs mW, ...),
+//     read off suffixes and propagated across calls, fields and locals
 //   - nanflow:    NaN taint from unchecked sources to persistent state sinks
 //   - statecover: checkpoint State()/Restore() field-coverage verification
 //   - cacheflush: topology/geometry mutations are followed by their flush
-//
-// plus the tgperf family policing the steady-state performance
-// contract — zero allocations and zero dynamic dispatch on the
-// per-epoch hot path (perfutil.go):
-//
-//   - allocfree: heap-allocating constructs in the hot set, classified
-//     on the StackLocal/ReusedScratch/Escapes lattice
-//   - boxcheck:  interface dispatch and reflection sorts in the hot set
-//   - capgrow:   loop appends without established capacity
 //
 // plus the tgsync family policing synchronization lifecycles in the
 // supervision layer (syncutil.go):
@@ -39,6 +29,10 @@
 //     (interprocedurally) I/O while a lock is held
 //   - golife:     every spawned goroutine, timer, and terminal job
 //     transition has a reachable teardown / settle path
+//
+// The steady-state allocation contract is not a lint pass: the exact
+// dynamic gate in internal/sim/alloc_test.go enforces it, and the race
+// detector covers unsynchronized goroutine writes.
 //
 // Packages are loaded with go/parser and type-checked with go/types
 // against the build cache's export data (see load.go), so the framework
@@ -151,15 +145,13 @@ func (p *Pass) ObjectOf(fun ast.Expr) types.Object {
 	return nil
 }
 
-// All returns the domain analyzers in their canonical order: the seven
-// syntactic passes, the four tgflow passes, the three tgperf hot-path
-// performance passes, then the four tgsync synchronization-lifecycle
-// passes.
+// All returns the domain analyzers in their canonical order: unitflow,
+// the five syntactic passes, the three other tgflow passes, then the
+// four tgsync synchronization-lifecycle passes.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Unitcheck, Detcheck, Floatcheck, Errsink, Aliascheck, Goroutinecheck, Invcheck,
-		Unitflow, Nanflow, Statecover, Cacheflush,
-		Allocfree, Boxcheck, Capgrow,
+		Unitflow, Detcheck, Floatcheck, Errsink, Aliascheck, Invcheck,
+		Nanflow, Statecover, Cacheflush,
 		Lockorder, Unlockpath, Blockheld, Golife,
 	}
 }

@@ -266,3 +266,30 @@ func (p *Program) pkgByPath(path string) *Package {
 	}
 	return nil
 }
+
+// depClosure returns the import paths of target plus its transitive
+// dependencies, walked over the type-checker's package graph (export
+// data included) — the set an incremental run fingerprints, so a
+// finding built from it can never go stale through a package the
+// fingerprint does not cover. The closure can under-approximate go
+// list's Deps for packages only reachable through unexported API, which
+// at worst drops a lock edge — never a stale cache entry.
+func depClosure(target *Package) map[string]bool {
+	seen := map[string]bool{target.ImportPath: true}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if p == nil || seen[p.Path()] {
+			return
+		}
+		seen[p.Path()] = true
+		for _, imp := range p.Imports() {
+			walk(imp)
+		}
+	}
+	if target.Types != nil {
+		for _, imp := range target.Types.Imports() {
+			walk(imp)
+		}
+	}
+	return seen
+}

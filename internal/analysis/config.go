@@ -43,11 +43,6 @@ type Config struct {
 		Packages []string `json:"packages"`
 	} `json:"aliascheck"`
 
-	Goroutinecheck struct {
-		// Allow exempts whole packages by import path (prefix match).
-		Allow []string `json:"allow"`
-	} `json:"goroutinecheck"`
-
 	Invcheck struct {
 		// Entrypoints maps import-path base names to the exported stepping
 		// functions/methods that must route through the invariant
@@ -85,24 +80,6 @@ type Config struct {
 		// CacheflushRule.
 		Rules []CacheflushRule `json:"rules"`
 	} `json:"cacheflush"`
-
-	Tgperf struct {
-		// Roots maps import-path base names (or full import paths) to the
-		// hot-loop entry functions ("Name" or "(Recv).Name") whose
-		// transitive callees form the tgperf hot set. A package's roots
-		// apply while analyzing that package or any package that depends
-		// on it — exactly the closure the incremental fingerprints hash.
-		Roots map[string][]string `json:"roots"`
-		// AllowCallees lists import-path prefixes the hot-set walk does
-		// not enter (audited allocation-free leaf APIs: the release-build
-		// no-op invariant checker, the telemetry registry's recycled
-		// spans and CAS counters).
-		AllowCallees []string `json:"allowCallees"`
-		// CapgrowPackages lists the packages capgrow polices, as base
-		// names or full import paths (broader than the hot set: a growing
-		// append in a loop hurts wherever it sits).
-		CapgrowPackages []string `json:"capgrowPackages"`
-	} `json:"tgperf"`
 
 	Statecover struct {
 		// Producers names the snapshot-constructing functions (State,
@@ -188,26 +165,6 @@ func DefaultConfig() *Config {
 		{Type: "Regulator", Fields: []string{"Pos"}, Flush: []string{"rebuildPaths"}},
 		{Type: "Mesh", Fields: []string{"nodeBlock", "blockNodes", "vrNode", "nx", "ny", "x0", "y0"}, Flush: nil},
 	}
-	c.Tgperf.Roots = map[string][]string{
-		"sim":      {"(Runner).stepEpoch", "(Runner).produceEpoch", "(Runner).domainEmergency"},
-		"thermal":  {"(Model).Step", "(Watchdog).Step"},
-		"pdn":      {"(Network).SteadyNoiseInto", "(Network).BurstPeakPct", "(Network).EffectiveResistance"},
-		"core":     {"(Governor).Decide", "(Governor).Observe", "(Governor).ObserveEmergencies"},
-		"uarch":    {"(Simulator).StepInto"},
-		"vr":       {"(Network).NOn", "(Network).EtaAt", "(Network).PerVRLoss", "(Network).PlossAt"},
-		"power":    {"(Model).Dynamic", "(Model).LeakageAt", "(Model).Total", "(Model).DomainDemand"},
-		"stats":    {"(WMA).Observe", "(WMA).Predict"},
-		"dvfs":     {"(Governor).Observe"},
-		"aging":    {"(Tracker).Observe"},
-		"workload": {"(Profile).PhaseAt"},
-	}
-	c.Tgperf.AllowCallees = []string{
-		"thermogater/internal/invariant",
-		"thermogater/internal/telemetry",
-	}
-	c.Tgperf.CapgrowPackages = []string{
-		"uarch", "workload", "power", "thermal", "pdn", "vr", "sim", "dvfs", "aging", "core",
-	}
 	c.Tgsync.Packages = []string{"serve", "sim", "experiments"}
 	c.Tgsync.Blocking = []string{"os", "net", "io", "bufio"}
 	c.Tgsync.StopNames = []string{
@@ -279,17 +236,6 @@ func (c *Config) aliascheckApplies(importPath string) bool {
 		}
 	}
 	return false
-}
-
-// goroutinecheckApplies reports whether goroutinecheck polices the
-// package (it runs everywhere except the allow list).
-func (c *Config) goroutinecheckApplies(importPath string) bool {
-	for _, allow := range c.Goroutinecheck.Allow {
-		if importPath == allow || strings.HasPrefix(importPath, allow+"/") {
-			return false
-		}
-	}
-	return true
 }
 
 // invcheckEntrypoints returns the entry-point name set configured for the

@@ -99,8 +99,8 @@ func buildSuppressions(fset *token.FileSet, files []*ast.File) (suppressionIndex
 	return idx, bad
 }
 
-// annIndex maps file → line → annotation kinds covering that line; the
-// //perf: and //sync: grammars share it.
+// annIndex maps file → line → annotation kinds covering that line, for
+// the //sync: grammar.
 type annIndex map[string]map[int]map[string]bool
 
 // covered reports whether an annotation of the given kind covers pos.
@@ -108,10 +108,10 @@ func (idx annIndex) covered(kind string, pos token.Position) bool {
 	return idx[pos.Filename][pos.Line][kind]
 }
 
-// buildAnnIndex is the shared directive scanner behind the //perf: and
-// //sync: grammars: a directive is "<prefix><kind> <reason...>", the
-// reason is mandatory, unknown kinds are findings, and a directive
-// covers its own line plus the line below it (mirroring //lint:ignore).
+// buildAnnIndex is the directive scanner behind the //sync: grammar: a
+// directive is "<prefix><kind> <reason...>", the reason is mandatory,
+// unknown kinds are findings, and a directive covers its own line plus
+// the line below it (mirroring //lint:ignore).
 func buildAnnIndex(fset *token.FileSet, files []*ast.File, prefix string, kinds map[string]bool, kindsHint, reportPass string) (annIndex, []Diagnostic) {
 	idx := make(annIndex)
 	var bad []Diagnostic

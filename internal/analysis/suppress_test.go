@@ -41,11 +41,11 @@ func f() {
 		}
 	}
 	check("floatcheck", 4, true)  // trailing comment, same line
-	check("unitcheck", 4, false)  // wrong pass
+	check("unitflow", 4, false)   // wrong pass
 	check("detcheck", 6, true)    // standalone above
 	check("errsink", 6, true)     // second pass in the list
 	check("floatcheck", 6, false) // not listed
-	check("unitcheck", 8, true)   // wildcard
+	check("unitflow", 8, true)    // wildcard
 	check("floatcheck", 10, false)
 }
 

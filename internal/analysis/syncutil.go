@@ -42,7 +42,8 @@ package analysis
 //
 //     A directive covers its own line and the line below, the reason is
 //     mandatory, and malformed directives are findings (reported once
-//     per package by lockorder, the family head) — mirroring //perf:.
+//     per package by lockorder, the family head) — mirroring
+//     //lint:ignore.
 
 import (
 	"go/ast"

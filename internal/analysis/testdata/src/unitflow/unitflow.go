@@ -1,12 +1,12 @@
-// Package unitflow is a tglint fixture for the interprocedural unit
-// pass. Every violation here is INVISIBLE to plain unitcheck: the
+// Package unitflow is a tglint fixture for the unit pass's propagation
+// rules. Every violation here is invisible to suffixes alone: the
 // offending value always travels through at least one unsuffixed local
 // or one call boundary, so only flow propagation can connect the unit
 // at the source to the contradiction at the use.
 package unitflow
 
 // ambientK has a single anonymous float result, so its own name suffix
-// declares the unit (matching unitcheck's callee-name convention).
+// declares the unit (the callee-name convention).
 func ambientK() float64 { return 300.0 }
 
 // readTemp carries no suffix anywhere in its signature; its unit is
@@ -74,9 +74,9 @@ func Demo(m *meter) []float64 {
 	return []float64{r1, r2, r3, f.powerW, r4}
 }
 
-// supplyV declares volts via its name but returns a watt value that
-// unitcheck cannot see (the unit lives in the environment, not the
-// identifier). This is the return-statement check unitcheck lacks.
+// supplyV declares volts via its name but returns a watt value whose
+// unit lives in the environment, not the identifier: the
+// return-statement check.
 func supplyV() float64 {
 	x := busW()
 	return x // want "dimension mismatch"

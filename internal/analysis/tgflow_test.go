@@ -2,7 +2,8 @@ package analysis
 
 // Tests for the tgflow engine: golden-file checks of the CFG builder
 // and call-graph indexer over testdata/src/tgflow, the bottom-up SCC
-// contract, and fixture runs of the three interprocedural passes.
+// contract, and fixture runs of three interprocedural passes (unitflow's
+// own are in unitflow_test.go).
 // Regenerate goldens with
 //
 //	go test ./internal/analysis -run Golden -update
@@ -96,7 +97,6 @@ func TestSCCBottomUp(t *testing.T) {
 	}
 }
 
-func TestUnitflowFixture(t *testing.T)   { checkFixture(t, Unitflow, "unitflow") }
 func TestNanflowFixture(t *testing.T)    { checkFixture(t, Nanflow, "nanflow/sim") }
 func TestStatecoverFixture(t *testing.T) { checkFixture(t, Statecover, "statecover/ckpt") }
 func TestCacheflushFixture(t *testing.T) { checkFixture(t, Cacheflush, "cacheflush/cache") }

@@ -4,37 +4,206 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
-// Unitflow is the interprocedural companion of unitcheck. Where
-// unitcheck reads a unit only off an identifier's own suffix, unitflow
-// *propagates* units through the program: a function that returns a
-// kelvin value (named result `tK`, or a body whose every return path
-// yields kelvin) stamps its callers' unsuffixed locals, struct-field
-// reads carry the field's suffix through intermediate variables, and
-// the facts cross call boundaries via bottom-up function summaries
-// (summary.go). On top of the propagated facts it checks:
+// Unitflow enforces the repository's unit-suffix convention. Every
+// physical quantity is a bare float64 whose unit lives only in its
+// identifier suffix (tempC, dtS, PlossW, FreqGHz, ...). The pass reads
+// a unit off each suffix and *propagates* it through the program: a
+// function that returns a kelvin value (named result `tK`, a name like
+// ambientK, or a body whose every return path yields kelvin) stamps its
+// callers' unsuffixed locals, struct-field reads carry the field's
+// suffix through intermediate variables, and the facts cross call
+// boundaries via bottom-up function summaries (summary.go). Over the
+// suffixed and the propagated facts alike it flags
 //
-//   - call arguments whose *inferred* unit contradicts the parameter
-//     suffix (x := AmbientK(); Reset(x) with Reset(tempC float64));
-//   - assignments, compound assignments and keyed struct-literal fields
-//     pairing a suffixed destination with a contradicting inferred unit;
+//   - call arguments whose unit contradicts the parameter suffix
+//     (Reset(tempK) or x := AmbientK(); Reset(x) with
+//     Reset(tempC float64));
+//   - assignments, compound assignments, var declarations and keyed
+//     struct-literal fields pairing a suffixed destination with a
+//     contradicting unit;
 //   - return statements contradicting the declared result unit (named
 //     result suffix, or the function's own name suffix for single
-//     results) — a check unitcheck does not perform at all;
-//   - comparisons and additive arithmetic where only the *inferred*
-//     units conflict.
+//     results);
+//   - comparisons and additive arithmetic mixing incompatible units.
 //
-// Anything unitcheck already reports from raw suffixes is skipped here,
-// so the two passes never double-report one mistake. Propagation is a
-// forward dataflow (dataflow.go) over each function's CFG, so units
-// survive loops and branches; joins of contradictory inferences resolve
-// to a conflict sentinel that silences (never invents) diagnostics.
+// The Celsius↔Kelvin conversion idiom (± 273.15) is recognised, so
+// `tempK := tempC + 273.15` is accepted. Units are only inferred for
+// float-typed expressions (and float vectors, whose suffix tags every
+// element), which keeps enum-ish names like core.OracV out of scope,
+// and suffixes preceded by "Per" (SinkResKPerW) are compound units and
+// carry none. Propagation is a forward dataflow (dataflow.go) over each
+// function's CFG, so units survive loops and branches; joins of
+// contradictory inferences resolve to a conflict sentinel that
+// silences (never invents) diagnostics. Code outside any declared
+// function's CFG — package-level initialisers, function-literal bodies
+// and switch case expressions — is checked against an empty
+// environment, i.e. with suffix and callee facts only.
 var Unitflow = &Analyzer{
 	Name:         "unitflow",
-	Doc:          "propagates units across calls, fields and locals; flags cross-call unit contradictions",
+	Doc:          "flags unit contradictions (C/K, W/mW, S/MS, ...) from suffixes propagated across calls, fields and locals",
 	Run:          runUnitflow,
 	NeedsProgram: true,
+}
+
+// unitInfo is one entry of the suffix lattice.
+type unitInfo struct {
+	Suffix string // case-sensitive identifier suffix
+	Dim    string // dimension key: two units are convertible iff dims match
+	Name   string // human-readable unit name for diagnostics
+}
+
+// unitLattice is the suffix → unit table, longest suffix first so that
+// FreqGHz matches GHz rather than Hz.
+var unitLattice = []unitInfo{
+	{"GHz", "frequency", "gigahertz"},
+	{"MHz", "frequency", "megahertz"},
+	{"KHz", "frequency", "kilohertz"},
+	{"Hz", "frequency", "hertz"},
+	{"mW", "power", "milliwatts"},
+	{"MW", "power", "milliwatts"}, // exported-identifier spelling of mW
+	{"mV", "voltage", "millivolts"},
+	{"MV", "voltage", "millivolts"},
+	{"NS", "time", "nanoseconds"},
+	{"Ns", "time", "nanoseconds"},
+	{"US", "time", "microseconds"},
+	{"MS", "time", "milliseconds"},
+	{"MM", "length", "millimetres"},
+	{"C", "temperature", "degrees Celsius"},
+	{"K", "temperature", "kelvin"},
+	{"W", "power", "watts"},
+	{"V", "voltage", "volts"},
+	{"A", "current", "amperes"},
+	{"S", "time", "seconds"},
+	{"J", "energy", "joules"},
+}
+
+// canonicalSuffix folds spelling variants (MW → mW, Ns → NS) so scale
+// comparison treats them as the same unit.
+func canonicalSuffix(s string) string {
+	switch s {
+	case "MW":
+		return "mW"
+	case "MV":
+		return "mV"
+	case "Ns":
+		return "NS"
+	}
+	return s
+}
+
+// suffixUnit extracts a unit from an identifier name, or nil. The
+// character before the suffix must be a lower-case letter or digit (the
+// camelCase boundary: MaxTempC yes, DVFS/CSV/NOC no), and "Per"
+// immediately before the suffix marks a compound unit (SinkResKPerW,
+// capJPerK) that carries no single-unit meaning.
+func suffixUnit(name string) *unitInfo {
+	for i := range unitLattice {
+		u := &unitLattice[i]
+		if !strings.HasSuffix(name, u.Suffix) {
+			continue
+		}
+		cut := len(name) - len(u.Suffix)
+		if cut == 0 {
+			continue // the whole name is the suffix: not a unit tag
+		}
+		prev := name[cut-1]
+		if !(prev >= 'a' && prev <= 'z' || prev >= '0' && prev <= '9') {
+			continue
+		}
+		if cut >= 3 && name[cut-3:cut] == "Per" {
+			continue
+		}
+		return u
+	}
+	return nil
+}
+
+// kelvinOffset is the Celsius↔Kelvin conversion constant the pass
+// recognises as an explicit unit conversion.
+const kelvinOffset = "273.15"
+
+func isKelvinOffset(e ast.Expr) bool {
+	lit, ok := ast.Unparen(e).(*ast.BasicLit)
+	return ok && lit.Kind == token.FLOAT && lit.Value == kelvinOffset
+}
+
+// convertTemp maps tempC + 273.15 → kelvin and tempK - 273.15 → Celsius;
+// any other combination with the offset constant is left unit-less.
+func convertTemp(u *unitInfo, op token.Token) *unitInfo {
+	if u == nil {
+		return nil
+	}
+	switch {
+	case u.Suffix == "C" && op == token.ADD:
+		return lookupSuffix("K")
+	case u.Suffix == "K" && op == token.SUB:
+		return lookupSuffix("C")
+	}
+	return nil
+}
+
+func lookupSuffix(s string) *unitInfo {
+	for i := range unitLattice {
+		if unitLattice[i].Suffix == s {
+			return &unitLattice[i]
+		}
+	}
+	return nil
+}
+
+// mismatch classifies a unit pair: "" (compatible), "dimension", or
+// "scale".
+func mismatch(a, b *unitInfo) string {
+	if a == nil || b == nil {
+		return ""
+	}
+	if a.Dim != b.Dim {
+		return "dimension"
+	}
+	if canonicalSuffix(a.Suffix) != canonicalSuffix(b.Suffix) {
+		return "scale"
+	}
+	return ""
+}
+
+// isFloatType reports whether t is a floating-point type.
+func isFloatType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
+}
+
+func typeAsSignature(t types.Type) (*types.Signature, bool) {
+	if t == nil {
+		return nil, false
+	}
+	sig, ok := t.Underlying().(*types.Signature)
+	return sig, ok
+}
+
+func calleeName(call *ast.CallExpr) string {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	}
+	return "function"
+}
+
+func exprName(e ast.Expr) string {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return e.Sel.Name
+	}
+	return "expression"
 }
 
 // unitEnv maps local objects (unsuffixed variables) to inferred units.
@@ -64,14 +233,13 @@ func joinUnitEnv(dst, src unitEnv) (unitEnv, bool) {
 	return dst, changed
 }
 
-// unitFlow evaluates units with the full propagation context. pass and
-// syn are nil while computing summaries (no reporting then).
+// unitFlow evaluates units with the full propagation context. pass is
+// nil while computing summaries (no reporting then).
 type unitFlow struct {
 	pkg  *Package
 	prog *Program
 	sums map[string]*unitSummary
 	pass *Pass
-	syn  *unitChecker
 }
 
 func (u *unitFlow) isFloat(e ast.Expr) bool {
@@ -137,8 +305,10 @@ func (u *unitFlow) unitOf(env unitEnv, e ast.Expr) *unitInfo {
 	return nil
 }
 
-// binaryUnit mirrors unitcheck's additive-unit logic over inferred
-// units, including the ±273.15 Celsius↔Kelvin idiom.
+// binaryUnit resolves the unit of an additive expression: the ±273.15
+// idiom converts between C and K, a unit plus a unitless term keeps the
+// unit, and mismatched operands resolve to no unit (checkExprTree
+// reports them separately).
 func (u *unitFlow) binaryUnit(env unitEnv, e *ast.BinaryExpr) *unitInfo {
 	if e.Op != token.ADD && e.Op != token.SUB {
 		return nil
@@ -165,12 +335,16 @@ func (u *unitFlow) binaryUnit(env unitEnv, e *ast.BinaryExpr) *unitInfo {
 
 // callResultUnits resolves the units of a call's results: explicit
 // result-name suffixes win, then the callee's body-inferred summary,
-// then (for externals, matching unitcheck's convention) the callee
-// name's own suffix on a single float result.
+// then the callee name's own suffix on a single float result. Calls
+// through func values (fields, variables) have no summary and get the
+// name rule only.
 func (u *unitFlow) callResultUnits(env unitEnv, call *ast.CallExpr) []*unitInfo {
 	fn := calleeFunc(u.pkg, call)
 	if fn == nil {
-		return nil
+		if !u.isFloat(call) {
+			return nil
+		}
+		return []*unitInfo{suffixUnit(calleeName(call))}
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
@@ -200,8 +374,8 @@ func (u *unitFlow) callResultUnits(env unitEnv, call *ast.CallExpr) []*unitInfo 
 
 // declaredResultUnits returns the units a function's return statements
 // must honour: named-result suffixes, or the function name's suffix for
-// a single anonymous float result.
-func declaredResultUnits(decl *ast.FuncDecl, sig *types.Signature) []*unitInfo {
+// a single anonymous float result (name is "" for function literals).
+func declaredResultUnits(name string, sig *types.Signature) []*unitInfo {
 	if sig == nil {
 		return nil
 	}
@@ -215,7 +389,7 @@ func declaredResultUnits(decl *ast.FuncDecl, sig *types.Signature) []*unitInfo {
 		if s := suffixUnit(res.Name()); s != nil {
 			units[i] = s
 		} else if n == 1 && res.Name() == "" {
-			units[i] = suffixUnit(decl.Name.Name)
+			units[i] = suffixUnit(name)
 		}
 	}
 	return units
@@ -241,15 +415,6 @@ func (u *unitFlow) lhsUnit(e ast.Expr) *unitInfo {
 	return nil
 }
 
-// syntacticUnit is unitcheck's own inference; any diagnostic it could
-// already derive is skipped by unitflow.
-func (u *unitFlow) syntacticUnit(e ast.Expr) *unitInfo {
-	if u.syn == nil {
-		return nil
-	}
-	return u.syn.unitOf(e)
-}
-
 // reportf funnels diagnostics; nil pass (summary mode) drops them.
 func (u *unitFlow) reportf(pos token.Pos, format string, args ...any) {
 	if u.pass != nil {
@@ -257,8 +422,7 @@ func (u *unitFlow) reportf(pos token.Pos, format string, args ...any) {
 	}
 }
 
-// checkFlowPair reports an inferred-unit contradiction on an assignment
-// pair unless the purely syntactic facts already expose it.
+// checkFlowPair reports a unit contradiction on an assignment pair.
 func (u *unitFlow) checkFlowPair(env unitEnv, dst, rhs ast.Expr, verb string, report bool) {
 	if !report {
 		return
@@ -267,18 +431,15 @@ func (u *unitFlow) checkFlowPair(env unitEnv, dst, rhs ast.Expr, verb string, re
 	if du == nil {
 		return
 	}
-	if u.syntacticUnit(rhs) != nil {
-		return // unitcheck territory (it reports iff they mismatch)
-	}
 	ru := u.unitOf(env, rhs)
 	if kind := mismatch(ru, du); kind != "" {
-		u.reportf(rhs.Pos(), "%s mismatch: value inferred as %s (%s) %s %q (%s)",
+		u.reportf(rhs.Pos(), "%s mismatch: value in %s (%s) %s %q (%s)",
 			kind, ru.Name, ru.Suffix, verb, exprName(dst), du.Name)
 	}
 }
 
-// checkCallArgs verifies each float argument's inferred unit against
-// the parameter suffix, skipping anything unitcheck can see on its own.
+// checkCallArgs verifies each float argument's unit against the
+// parameter suffix.
 func (u *unitFlow) checkCallArgs(env unitEnv, call *ast.CallExpr) {
 	sig, ok := typeAsSignature(typeOf(u.pkg.Info, call.Fun))
 	if !ok {
@@ -310,13 +471,10 @@ func (u *unitFlow) checkCallArgs(env unitEnv, call *ast.CallExpr) {
 		if pu == nil {
 			continue
 		}
-		if u.syntacticUnit(arg) != nil {
-			continue
-		}
 		au := u.unitOf(env, arg)
 		if kind := mismatch(au, pu); kind != "" {
 			u.reportf(arg.Pos(),
-				"%s mismatch: argument inferred as %s (%s) passed to parameter %q of %s (%s)",
+				"%s mismatch: argument in %s (%s) passed to parameter %q of %s (%s)",
 				kind, au.Name, au.Suffix, param.Name(), calleeName(call), pu.Name)
 		}
 	}
@@ -346,12 +504,12 @@ func (u *unitFlow) checkExprTree(env unitEnv, e ast.Expr) {
 					continue
 				}
 				ku := suffixUnit(key.Name)
-				if ku == nil || u.syntacticUnit(kv.Value) != nil {
+				if ku == nil {
 					continue
 				}
 				vu := u.unitOf(env, kv.Value)
 				if kind := mismatch(vu, ku); kind != "" {
-					u.reportf(kv.Value.Pos(), "%s mismatch: value inferred as %s (%s) assigned to field %q (%s)",
+					u.reportf(kv.Value.Pos(), "%s mismatch: value in %s (%s) assigned to field %q (%s)",
 						kind, vu.Name, vu.Suffix, key.Name, ku.Name)
 				}
 			}
@@ -361,13 +519,9 @@ func (u *unitFlow) checkExprTree(env unitEnv, e ast.Expr) {
 				if isKelvinOffset(n.X) || isKelvinOffset(n.Y) {
 					return true
 				}
-				ls, rs := u.syntacticUnit(n.X), u.syntacticUnit(n.Y)
-				if ls != nil && rs != nil {
-					return true // fully visible to unitcheck
-				}
 				lu, ru := u.unitOf(env, n.X), u.unitOf(env, n.Y)
 				if kind := mismatch(lu, ru); kind != "" {
-					u.reportf(n.OpPos, "%s mismatch: inferred %s (%s) %s %s (%s) without conversion",
+					u.reportf(n.OpPos, "%s mismatch: %s (%s) %s %s (%s) without conversion",
 						kind, lu.Name, lu.Suffix, n.Op, ru.Name, ru.Suffix)
 				}
 			}
@@ -420,6 +574,8 @@ func (u *unitFlow) applyStmt(env unitEnv, s ast.Stmt, report bool, declared []*u
 			u.checkExprTree(env, s.Call)
 		case *ast.SendStmt:
 			u.checkExprTree(env, s.Value)
+		case *ast.IncDecStmt:
+			u.checkExprTree(env, s.X)
 		case *ast.IfStmt, *ast.ForStmt: // handled via Cond on the block
 		case *ast.DeclStmt:
 			if gd, ok := s.Decl.(*ast.GenDecl); ok {
@@ -495,7 +651,7 @@ func (u *unitFlow) applyAssign(env unitEnv, a *ast.AssignStmt, report bool) {
 					if report {
 						if du := u.lhsUnit(l); du != nil {
 							if kind := mismatch(ru, du); kind != "" {
-								u.reportf(l.Pos(), "%s mismatch: result %d of %s inferred as %s (%s) assigned to %q (%s)",
+								u.reportf(l.Pos(), "%s mismatch: result %d of %s in %s (%s) assigned to %q (%s)",
 									kind, i, calleeName(call), ru.Name, ru.Suffix, exprName(l), du.Name)
 							}
 						}
@@ -538,11 +694,11 @@ func (u *unitFlow) applyBlock(env unitEnv, b *Block, report bool, declared []*un
 	}
 }
 
-// flowFunction runs the engine over one function and returns per-block
-// entry environments.
-func (u *unitFlow) flowFunction(fn *FlowFunc, declared []*unitInfo) map[*Block]unitEnv {
+// flowFunction runs the engine over one function body and returns
+// per-block entry environments.
+func (u *unitFlow) flowFunction(cfg *CFG, declared []*unitInfo) map[*Block]unitEnv {
 	eng := &Dataflow[unitEnv]{
-		CFG:    fn.CFG(),
+		CFG:    cfg,
 		Bottom: func() unitEnv { return unitEnv{} },
 		Clone:  cloneUnitEnv,
 		Join:   joinUnitEnv,
@@ -562,7 +718,7 @@ func updateUnitSummary(p *Program, fn *FlowFunc, sums map[string]*unitSummary) b
 		return false
 	}
 	u := &unitFlow{pkg: fn.Pkg, prog: p, sums: sums}
-	in := u.flowFunction(fn, nil)
+	in := u.flowFunction(fn.CFG(), nil)
 
 	next := make([]*unitInfo, len(sum.results))
 	// Explicit result-name suffixes are authoritative.
@@ -603,25 +759,44 @@ func runUnitflow(p *Pass) {
 	if p.Program == nil || allowedBy(p.Config.Unitflow.Allow, p.ImportPath) {
 		return
 	}
-	sums := p.Program.UnitSummaries()
-	var pkg *Package
-	for _, candidate := range p.Program.Pkgs {
-		if candidate.ImportPath == p.ImportPath {
-			pkg = candidate
-			break
-		}
-	}
+	pkg := p.Program.pkgByPath(p.ImportPath)
 	if pkg == nil {
 		return
 	}
+	u := &unitFlow{pkg: pkg, prog: p.Program, sums: p.Program.UnitSummaries(), pass: p}
 	for _, fn := range packageFuncs(p.Program, pkg) {
-		u := &unitFlow{pkg: pkg, prog: p.Program, sums: sums, pass: p, syn: &unitChecker{pass: p}}
-		declared := declaredResultUnits(fn.Decl, fn.Sig)
-		in := u.flowFunction(fn, declared)
-		for _, b := range fn.CFG().Blocks {
-			env := cloneUnitEnv(in[b])
-			u.applyBlock(env, b, true, declared)
+		u.checkFunc(fn.CFG(), declaredResultUnits(fn.Decl.Name.Name, fn.Sig))
+	}
+	// What no declared function's CFG holds: package-level initialisers,
+	// function-literal bodies (checkExprTree stops at a literal), and
+	// switch case expressions (the CFG keeps only the tag).
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			if gd, ok := decl.(*ast.GenDecl); ok && (gd.Tok == token.VAR || gd.Tok == token.CONST) {
+				u.applyStmt(unitEnv{}, &ast.DeclStmt{Decl: gd}, true, nil)
+			}
 		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				sig, _ := typeAsSignature(typeOf(pkg.Info, n))
+				u.checkFunc(BuildCFG(&ast.FuncDecl{Type: n.Type, Body: n.Body}), declaredResultUnits("", sig))
+			case *ast.CaseClause:
+				for _, e := range n.List {
+					u.checkExprTree(unitEnv{}, e)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// checkFunc runs the flow over one body and replays every block from
+// its entry environment with reporting on.
+func (u *unitFlow) checkFunc(cfg *CFG, declared []*unitInfo) {
+	in := u.flowFunction(cfg, declared)
+	for _, b := range cfg.Blocks {
+		u.applyBlock(cloneUnitEnv(in[b]), b, true, declared)
 	}
 }
 

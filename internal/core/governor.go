@@ -539,7 +539,7 @@ func (g *Governor) anticipatedDemand(d int, in *Inputs) (float64, error) {
 		}
 		return 0, nil
 	}
-	//perf:alloc unreachable fall-through for configurations that pass Validate; kept as a guard
+	// Unreachable for configurations that pass Validate; kept as a guard.
 	return 0, fmt.Errorf("core: policy %v does not size n_on", g.cfg.Policy)
 }
 

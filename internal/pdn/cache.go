@@ -136,9 +136,11 @@ func (c *maskLRU[V]) put(key uint64, v V) {
 		c.vals = c.vals[:c.limit-1]
 		c.stats.Evictions++
 	}
+	// Capacity is preallocated to limit in newMaskLRU and len never
+	// exceeds it, so neither append allocates.
 	var zero V
-	c.keys = append(c.keys, 0)    //perf:alloc capacity preallocated to limit in newMaskLRU; len never exceeds it
-	c.vals = append(c.vals, zero) //perf:alloc same bounded-capacity invariant as keys
+	c.keys = append(c.keys, 0)
+	c.vals = append(c.vals, zero)
 	copy(c.keys[1:], c.keys[:len(c.keys)-1])
 	copy(c.vals[1:], c.vals[:len(c.vals)-1])
 	c.keys[0], c.vals[0] = key, v

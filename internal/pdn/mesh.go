@@ -136,7 +136,7 @@ func NewMesh(chip *floorplan.Chip, domain int, cfg MeshConfig) (*Mesh, error) {
 		for bi, bid := range d.Blocks {
 			if chip.Blocks[bid].R.Contains(p) {
 				m.nodeBlock[idx] = bi
-				m.blockNodes[bi] = append(m.blockNodes[bi], idx) //lint:ignore capgrow one-time mesh build; per-block node counts are unknown until this sweep
+				m.blockNodes[bi] = append(m.blockNodes[bi], idx)
 				break
 			}
 		}

@@ -32,8 +32,8 @@ type Network struct {
 	// draws from: limit slices carved up front so effFor never allocates
 	// — below capacity a miss pops here, at capacity it recycles the
 	// evicted entry's backing. Flushed entries' slices are lost to the
-	// pool, so the first misses after a rebuild fall back to make (cold,
-	// annotated).
+	// pool, so the first misses after a rebuild fall back to make
+	// (cold).
 	effFree [][][]float64
 }
 
@@ -164,7 +164,9 @@ func (n *Network) effFor(domain int, active []bool) []float64 {
 			effR = fl[len(fl)-1]
 			n.effFree[domain] = fl[:len(fl)-1]
 		} else {
-			effR = make([]float64, len(d.Blocks)) //perf:alloc refill after a rebuild flush dropped the pooled slices; steady state never reaches this
+			// Refill after a rebuild flush dropped the pooled slices;
+			// steady state never reaches this.
+			effR = make([]float64, len(d.Blocks))
 		}
 	}
 	for bi := range d.Blocks {

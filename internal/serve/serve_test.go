@@ -290,6 +290,12 @@ func TestLoadSheddingWith429(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-running.Done()
+	// The canceled job stays in the heap until the freed worker pops and
+	// drops it; resubmit once that has happened.
+	deadline := time.Now().Add(30 * time.Second)
+	for sup.Stats().Queued > 0 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
 	if _, _, err := sup.Submit(smallSpec(102)); err != nil {
 		t.Fatalf("resubmit after shed failed: %v", err)
 	}
@@ -301,11 +307,17 @@ func TestRetryBackoffAndFailureRecord(t *testing.T) {
 		MaxAttempts:  2,
 		RetryBackoff: 5 * time.Millisecond,
 	})
+	// Arm the first attempt before it can start: the job waits in the
+	// queue behind an occupied worker until release.
+	release := occupyWorker(t, sup, 199)
 	j, _, err := sup.Submit(smallSpec(200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Keep the crash armed so every attempt panics at its first record.
+	if err := sup.Kill(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	// Keep the crash re-armed so the retry panics at its first record too.
 	go func() {
 		for {
 			select {
@@ -321,6 +333,7 @@ func TestRetryBackoffAndFailureRecord(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}()
+	release()
 	waitState(t, j, StateFailed)
 	st := j.Snapshot()
 	if st.Failure == nil {

@@ -10,8 +10,8 @@ import (
 // allocGateConfig is the steady-state shape the zero-allocation contract
 // covers: no telemetry registry, no epoch trace, no VR tracking, no
 // faults and no checkpoint sink — the pure physics loop that dominates
-// sweep wall-clock. Everything the config leaves off is an annotated
-// //perf:alloc exception in the source, not part of the contract.
+// sweep wall-clock. Everything the config leaves off allocates by
+// design and is not part of the contract.
 func allocGateConfig(t *testing.T, policy core.PolicyKind) Config {
 	t.Helper()
 	bench, err := workload.ByName("fft")
@@ -73,8 +73,10 @@ func testStepEpochAllocs(t *testing.T, policy core.PolicyKind) {
 	}
 }
 
-// TestStepEpochZeroAllocs gates the epoch loop across the policy cost
-// spectrum: no decision work, oracle PDN solving, practical predictor.
+// TestStepEpochZeroAllocs gates the epoch loop under every built-in
+// policy, so each governor branch is covered: off-chip and all-on (no
+// gating), naive, the oracle policies that solve the PDN per decision,
+// and the practical predictors.
 func TestStepEpochZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -83,6 +85,11 @@ func TestStepEpochZeroAllocs(t *testing.T) {
 		{"allon", core.AllOn},
 		{"oracT", core.OracT},
 		{"pracVT", core.PracVT},
+		{"offchip", core.OffChip},
+		{"naive", core.Naive},
+		{"oracV", core.OracV},
+		{"oracVT", core.OracVT},
+		{"pracT", core.PracT},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			testStepEpochAllocs(t, tc.policy)

@@ -44,9 +44,8 @@ func (e *CancelError) Unwrap() error { return e.Cause }
 
 // ctxErr polls the run's context. A runner whose Run was never given a
 // context (direct beginRun/stepEpoch drivers, the profiling pass under
-// tests) has no context and never cancels.
-//
-//perf:dispatch context poll is one interface call per epoch on the hot path; Background().Err() is a nil return
+// tests) has no context and never cancels. The poll is one interface
+// call per epoch on the hot path; Background().Err() is a nil return.
 func (r *Runner) ctxErr() error {
 	if r.runCtx == nil {
 		return nil
@@ -55,8 +54,7 @@ func (r *Runner) ctxErr() error {
 }
 
 // cancelCause resolves the most specific cancellation reason available.
-//
-//perf:dispatch runs at most once per run, on the cancellation exit path
+// It runs at most once per run, on the cancellation exit path.
 func cancelCause(ctx context.Context) error {
 	if ctx == nil {
 		return context.Canceled

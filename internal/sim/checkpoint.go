@@ -228,8 +228,6 @@ func decodeCheckpoint(payload []byte) (c *Checkpoint, err error) {
 
 // clone deep-copies the measure state so neither a checkpoint nor a run
 // resumed from one aliases buffers another run keeps mutating.
-//
-//perf:alloc checkpoint capture deep-copies by design; runs only on checkpoint epochs
 func (m MeasureState) clone() MeasureState {
 	m.DvfsVddSum = append([]float64(nil), m.DvfsVddSum...)
 	m.Res = cloneResult(m.Res)
@@ -238,8 +236,6 @@ func (m MeasureState) clone() MeasureState {
 
 // cloneResult deep-copies a partially aggregated result, preserving the
 // nil-ness of every optional slice (gob round-trips rely on that).
-//
-//perf:alloc checkpoint capture deep-copies by design; runs only on checkpoint epochs
 func cloneResult(res *Result) *Result {
 	if res == nil {
 		return nil
@@ -269,8 +265,6 @@ func cloneResult(res *Result) *Result {
 // snapshot assembles the checkpoint for the just-completed epoch e.
 // ustate is the activity simulator's state right after that epoch's
 // frames were generated (see produceEpoch).
-//
-//perf:alloc checkpoint assembly allocates by design; runs only on checkpoint epochs
 func (r *Runner) snapshot(e int, ustate *uarch.State, ms *MeasureState) *Checkpoint {
 	cp := &Checkpoint{
 		Schema:             CheckpointSchema,

@@ -190,9 +190,8 @@ func (c Config) durationMS() int {
 	return c.Benchmark.DurationMS
 }
 
-// benchmarkLabel names the run for reporting.
-//
-//perf:alloc label construction runs at run setup and checkpoint capture, never per epoch
+// benchmarkLabel names the run for reporting. It runs at run setup and
+// checkpoint capture, never per epoch.
 func (c Config) benchmarkLabel() string {
 	if len(c.Mix) == 0 {
 		return c.Benchmark.Name

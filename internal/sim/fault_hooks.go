@@ -96,8 +96,7 @@ func (r *Runner) applyActivityFaults(frames []uarch.Frame, res *Result) {
 				kept := f.Bursts[:0]
 				for _, b := range f.Bursts {
 					if b.Core != c {
-						//perf:alloc in-place filter over f.Bursts[:0]; never exceeds the original length
-						kept = append(kept, b) //lint:ignore capgrow in-place filter over f.Bursts[:0]; never exceeds the original length
+						kept = append(kept, b)
 					}
 				}
 				f.Bursts = kept

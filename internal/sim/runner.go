@@ -82,8 +82,7 @@ type Runner struct {
 
 	// Per-epoch hot-path scratch, sized once in New so the steady-state
 	// epoch loop (stepEpoch, produceEpoch) allocates nothing — the
-	// contract the allocfree lint pass checks statically and
-	// alloc_test.go checks dynamically.
+	// contract alloc_test.go checks.
 	avgActivity     []float64
 	avgBlockPower   []float64
 	avgBlockCurrent []float64
@@ -96,6 +95,7 @@ type Runner struct {
 	emgNoise        []pdn.DomainNoise
 	govIn           core.Inputs     // reused governor inputs, closures bound once
 	epochSpan       *telemetry.Span // recycled per-epoch span tree
+	san             *sanScratch     // tgsan check scratch, built on first use
 
 	// Per-run epoch-loop state, assembled by beginRun, advanced one
 	// epoch per stepEpoch call, aggregated by finishRun.
@@ -367,7 +367,6 @@ func (r *Runner) produceEpoch(e int) ([]uarch.Frame, *uarch.State, error) {
 		}
 	}
 	if r.wantCheckpoint(e) || r.ctxErr() != nil {
-		//perf:alloc uarch snapshot on checkpoint epochs and after cancellation only
 		return r.frames, r.usim.State(), nil
 	}
 	return r.frames, nil, nil
@@ -754,7 +753,7 @@ func (r *Runner) beginRun() error {
 
 	// Trace capacities up front so the per-epoch appends never grow in
 	// steady state. A resumed run's clone may carry capacity == length
-	// and regrow once; that is the annotated exception in stepEpoch.
+	// and regrow once, in stepEpoch.
 	if r.cfg.TraceEpochs && res.Trace == nil {
 		res.Trace = make([]EpochStats, 0, nEpochs)
 	}
@@ -770,10 +769,9 @@ func (r *Runner) beginRun() error {
 // stepEpoch advances the measured run by one epoch: the activity frames,
 // the epoch-average demand, the governor decision, the substep
 // physics loop, the deferred PDN phase, epoch bookkeeping, telemetry and
-// checkpointing. It is the hot root of the tgperf lint passes: in steady
-// state — buffers sized, caches warm, telemetry detached — one call
-// performs no heap allocation, and internal/sim/alloc_test.go holds that
-// line dynamically.
+// checkpointing. In steady state — buffers sized, caches warm,
+// telemetry detached — one call performs no heap allocation, and
+// internal/sim/alloc_test.go holds that line.
 func (r *Runner) stepEpoch(e int) error {
 	ms := r.runMS
 	res := ms.Res
@@ -789,7 +787,6 @@ func (r *Runner) stepEpoch(e int) error {
 	if epSpan != nil {
 		epSpan.Restart()
 	} else {
-		//perf:alloc one span tree per run; every later epoch recycles it
 		epSpan = r.cfg.Telemetry.StartSpan("epoch")
 		r.epochSpan = epSpan
 	}
@@ -1013,8 +1010,8 @@ func (r *Runner) stepEpoch(e int) error {
 					li = i
 				}
 			}
-			//perf:alloc capacity preallocated in beginRun; a resumed run regrows once
-			res.VRTrace = append(res.VRTrace, VRSample{ //lint:ignore capgrow capacity preallocated in beginRun (cross-function, so per-function capacity tracking cannot see it)
+			// Capacity preallocated in beginRun; a resumed run regrows once.
+			res.VRTrace = append(res.VRTrace, VRSample{
 				TimeMS: f.TimeMS + f.DtMS,
 				TempC:  r.tm.VRTemp(rid),
 				On:     r.masks[dom][li],
@@ -1107,8 +1104,8 @@ func (r *Runner) stepEpoch(e int) error {
 				ploss += l
 			}
 			tmax, _ := r.tm.MaxTemp()
-			//perf:alloc capacity preallocated in beginRun; a resumed run regrows once
-			res.Trace = append(res.Trace, EpochStats{ //lint:ignore capgrow capacity preallocated in beginRun (cross-function, so per-function capacity tracking cannot see it)
+			// Capacity preallocated in beginRun; a resumed run regrows once.
+			res.Trace = append(res.Trace, EpochStats{
 				TimeMS:      float64(e) * r.cfg.EpochMS,
 				TotalPowerW: epochChipPower / float64(r.stepsPerEpoch),
 				ActiveVRs:   activeCount,
@@ -1120,7 +1117,6 @@ func (r *Runner) stepEpoch(e int) error {
 			})
 		}
 		if r.cfg.HeatMapRes > 0 && ms.HeatMapDeadline == e {
-			//perf:alloc heat-map capture fires on at most one epoch per run
 			hm, err := r.tm.HeatMap(r.cfg.HeatMapRes, r.cfg.HeatMapRes)
 			if err != nil {
 				return err
@@ -1227,9 +1223,8 @@ func (r *Runner) finishRun() (*Result, error) {
 // snapshotWorstNoise captures enough state at the worst-noise moment to
 // regenerate a transient window later. maxBlock is the global block ID of
 // the steady-noise maximum; blockCurrent and mask are the substep's
-// captured current map and gating mask.
-//
-//perf:alloc fires only when a new run-wide worst-noise maximum is found
+// captured current map and gating mask. It fires only when a new
+// run-wide worst-noise maximum is found.
 func (r *Runner) snapshotWorstNoise(d, maxBlock int, blockCurrent []float64, mask []bool, f uarch.Frame, frames []uarch.Frame) *WorstNoiseState {
 	dom := &r.chip.Domains[d]
 	bi := 0
@@ -1257,7 +1252,7 @@ func (r *Runner) snapshotWorstNoise(d, maxBlock int, blockCurrent []float64, mas
 			if startCycle < 0 {
 				startCycle = 0
 			}
-			ws.Bursts = append(ws.Bursts, pdn.Burst{ //lint:ignore capgrow worst-noise capture is rare and the burst count per epoch is small
+			ws.Bursts = append(ws.Bursts, pdn.Burst{
 				StartCycle: startCycle % 2000,
 				Cycles:     b.Cycles,
 				Amp:        b.Amp,

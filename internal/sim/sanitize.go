@@ -11,6 +11,36 @@ import (
 // thermal, pdn or vr. Every call site guards on invariant.Enabled, so in
 // the default (non-tgsan) build the constant-false branch and everything
 // behind it is eliminated; tgbench verifies the zero-overhead claim.
+// The checks themselves reuse Runner-held scratch (sanScratch) on the
+// success path, so a sanitized run keeps the zero-allocation epoch.
+
+// sanScratch is the sanitizer's reusable scratch. It is built on first
+// use, so only tgsan builds ever carry it.
+type sanScratch struct {
+	seen       []bool    // ranking-permutation marks, sized to the largest domain
+	blockTemps []float64 // BlockTemps copy for the bounds check
+	vrTemps    []float64 // VRTemps copy for the bounds check
+	domLabels  []string  // "domain <name>", one per domain
+}
+
+// sanitizer returns the Runner's sanitizer scratch, building it on the
+// first call.
+func (r *Runner) sanitizer() *sanScratch {
+	if r.san != nil {
+		return r.san
+	}
+	s := &sanScratch{domLabels: make([]string, len(r.chip.Domains))}
+	for d := range r.chip.Domains {
+		s.domLabels[d] = "domain " + r.chip.Domains[d].Name
+	}
+	maxN := 0
+	for _, n := range r.nets {
+		maxN = max(maxN, n.Size())
+	}
+	s.seen = make([]bool, maxN)
+	r.san = s
+	return s
+}
 
 // sanitizeDecision vets a governor decision before it is applied: the
 // requested phase count must be representable and the ranking a permutation
@@ -19,6 +49,7 @@ func (r *Runner) sanitizeDecision(dec *core.Decision) {
 	if r.cfg.Policy == core.OffChip {
 		return
 	}
+	san := r.sanitizer()
 	for d := range dec.Domains {
 		dd := &dec.Domains[d]
 		n := r.nets[d].Size()
@@ -28,7 +59,8 @@ func (r *Runner) sanitizeDecision(dec *core.Decision) {
 				d, len(dd.Ranking), n)
 			continue
 		}
-		seen := make([]bool, n)
+		seen := san.seen[:n]
+		clear(seen)
 		for _, li := range dd.Ranking {
 			if li < 0 || li >= n || seen[li] {
 				invariant.Reportf("vr-gating", d, "domain %d: ranking %v is not a permutation",
@@ -62,10 +94,13 @@ func (r *Runner) sanitizeSubstep() {
 	// Temperature bounds against the configured junction limit. The
 	// package-level thermal hooks only know the ambient floor; the Runner
 	// knows the ceiling.
+	san := r.sanitizer()
 	ambientC := r.cfg.Thermal.AmbientC
 	junctionC := r.cfg.Thermal.MaxJunction()
-	invariant.CheckTempBounds("sim.blockTemps", r.tm.BlockTemps(nil), ambientC, junctionC)
-	invariant.CheckTempBounds("sim.vrTemps", r.tm.VRTemps(nil), ambientC, junctionC)
+	san.blockTemps = r.tm.BlockTemps(san.blockTemps)
+	san.vrTemps = r.tm.VRTemps(san.vrTemps)
+	invariant.CheckTempBounds("sim.blockTemps", san.blockTemps, ambientC, junctionC)
+	invariant.CheckTempBounds("sim.vrTemps", san.vrTemps, ambientC, junctionC)
 
 	// Energy conservation, part 1: the per-block current map and the
 	// per-domain demand must reconstruct from the power map. The domain sum
@@ -117,7 +152,7 @@ func (r *Runner) sanitizeSubstep() {
 				curSum += r.vrCurrent[rid]
 				//lint:ignore floatcheck a gated healthy regulator is zeroed exactly; the cheap pre-test keeps the hot path allocation-free
 			} else if class != invariant.VRHealthy || r.vrPower[rid] != 0 || r.vrCurrent[rid] != 0 {
-				invariant.CheckGatedVR("domain "+dom.Name, rid, r.vrCurrent[rid], r.vrPower[rid], class)
+				invariant.CheckGatedVR(san.domLabels[d], rid, r.vrCurrent[rid], r.vrPower[rid], class)
 			}
 		}
 		lo := 1
@@ -139,7 +174,7 @@ func (r *Runner) sanitizeSubstep() {
 			atCapacity = atCapacity || count >= r.fltAvailN[d]
 		}
 		share := iout / float64(count)
-		invariant.CheckPhaseShare("domain "+dom.Name, d, share, r.nets[d].Design().IMax, derate, atCapacity)
+		invariant.CheckPhaseShare(san.domLabels[d], d, share, r.nets[d].Design().IMax, derate, atCapacity)
 		// Energy conservation, part 2: the per-VR losses injected into the
 		// thermal model (count repeated additions of PerVRLoss) must agree
 		// with the composite-curve total PlossAt — algebraically identical,

@@ -112,9 +112,9 @@ type epochStats struct {
 
 // observeEpoch folds one finished epoch span into the counters and streams
 // the "epoch" record. The span must already be ended so its totals cover
-// exactly this epoch.
-//
-//perf:alloc record emission boxes and concatenates; it runs only on instrumented runs, which trade allocation-freedom for observability
+// exactly this epoch. Record emission boxes and concatenates; it runs
+// only on instrumented runs, which trade allocation-freedom for
+// observability.
 func (in *instruments) observeEpoch(r *Runner, ep *telemetry.Span, st epochStats) error {
 	if !in.enabled() {
 		return nil

@@ -166,7 +166,7 @@ func NewMix(chip *floorplan.Chip, profiles []workload.Profile, seed uint64) (*Si
 	for _, b := range chip.Blocks {
 		switch {
 		case b.Core >= 0:
-			s.coreBlocks[b.Core] = append(s.coreBlocks[b.Core], b.ID) //lint:ignore capgrow capacity set per core just above; the establishing index is spelled c, not b.Core
+			s.coreBlocks[b.Core] = append(s.coreBlocks[b.Core], b.ID)
 		case b.Class == floorplan.UnitL3:
 			s.l3Blocks[bank] = b.ID
 			bank++

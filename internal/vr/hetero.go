@@ -182,7 +182,7 @@ func (h *HeteroNetwork) waterfill(mask int, iout float64) (shares []float64, los
 				clamped = true
 				continue
 			}
-			next = append(next, i) //lint:ignore capgrow in-place filter over free[:0]; never exceeds len(free)
+			next = append(next, i)
 		}
 		free = next
 		if !clamped {
