@@ -41,7 +41,7 @@ type GovernorState struct {
 func (g *Governor) State() *GovernorState {
 	s := &GovernorState{
 		WMA:           make([]stats.WMAState, len(g.wma)),
-		Theta:         ThetaModel{Theta: cloneFloats(g.theta.Theta), R2: cloneFloats(g.theta.R2)},
+		Theta:         g.theta.Clone(),
 		LastPerVRLoss: cloneFloats(g.lastPerVRLoss),
 		PrevSensor:    cloneFloats(g.prevSensor),
 		HaveSensor:    g.haveSensor,
@@ -98,7 +98,7 @@ func (g *Governor) Restore(s *GovernorState) error {
 			return fmt.Errorf("core: wma %d: %w", i, err)
 		}
 	}
-	g.theta = ThetaModel{Theta: cloneFloats(s.Theta.Theta), R2: cloneFloats(s.Theta.R2)}
+	g.theta = s.Theta.Clone()
 	copy(g.lastPerVRLoss, s.LastPerVRLoss)
 	copy(g.prevSensor, s.PrevSensor)
 	g.haveSensor = s.HaveSensor

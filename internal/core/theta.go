@@ -21,6 +21,11 @@ type ThetaModel struct {
 	R2 []float64
 }
 
+// Clone returns a deep copy of m that shares no storage with it.
+func (m ThetaModel) Clone() ThetaModel {
+	return ThetaModel{Theta: cloneFloats(m.Theta), R2: cloneFloats(m.R2)}
+}
+
 // FitTheta extracts θᵢ from profiling traces: dP[i] and dT[i] are the
 // observed per-decision-point changes in regulator i's dissipation (W) and
 // temperature (°C). Every regulator needs at least two samples.

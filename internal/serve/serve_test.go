@@ -548,3 +548,52 @@ func TestBenchReportCheck(t *testing.T) {
 		t.Fatalf("round-tripped report rejected: %v", err)
 	}
 }
+
+// TestSupervisorSharesThetaFits: a pracVT job reuses the θ fit of an
+// earlier pracT job of the same benchmark and seed, and both results and
+// streams equal direct, fresh-fit runs byte for byte.
+func TestSupervisorSharesThetaFits(t *testing.T) {
+	sup := newTestSupervisor(t, Config{Workers: 1, FrozenClock: true})
+	for i, policy := range []string{"pracT", "pracVT"} {
+		spec := JobSpec{Policy: policy, Benchmark: "lu_ncb", Seed: 31, DurationMS: 40, WarmupEpochs: 10}
+		j, _, err := sup.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, j, StateDone)
+		if st := sup.Stats(); st.ThetaHits != int64(i) || st.ThetaMisses != 1 {
+			t.Fatalf("after %s: theta_hits %d, theta_misses %d; want %d, 1", policy, st.ThetaHits, st.ThetaMisses, i)
+		}
+
+		cfg, err := spec.simConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := sim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := r.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, ok := j.Result()
+		if !ok {
+			t.Fatalf("%s: no result", policy)
+		}
+		got, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(direct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: service result differs from a direct run", policy)
+		}
+		if !bytes.Equal(j.Stream().Bytes(), referenceStream(t, spec)) {
+			t.Errorf("%s: service stream differs from a direct run's", policy)
+		}
+	}
+}

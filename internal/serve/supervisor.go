@@ -131,6 +131,10 @@ type Stats struct {
 	Retries   int64 `json:"retries"`
 	Evicted   int64 `json:"evicted"`
 	Draining  bool  `json:"draining"`
+	// ThetaHits and ThetaMisses count the practical jobs whose θ fit came
+	// from the supervisor's sim.ThetaMemo and those that profiled afresh.
+	ThetaHits   int64 `json:"theta_hits"`
+	ThetaMisses int64 `json:"theta_misses"`
 }
 
 // Supervisor owns the job table, the queue and the worker pool. One
@@ -154,6 +158,10 @@ type Supervisor struct {
 	wg       sync.WaitGroup
 	draining atomic.Bool
 
+	// theta shares θ-profiling fits between every sim job this supervisor
+	// runs; a hit is byte-identical to a fresh fit.
+	theta *sim.ThetaMemo
+
 	submitted, deduped, shed, completed atomic.Int64
 	failed, canceled, evicted           atomic.Int64
 	preempted, crashes, retries         atomic.Int64
@@ -169,6 +177,7 @@ func NewSupervisor(cfg Config) (*Supervisor, error) {
 		jobs:   make(map[string]*Job),
 		timers: make(map[*time.Timer]struct{}),
 		stop:   make(chan struct{}),
+		theta:  sim.NewThetaMemo(),
 	}
 	if err := s.loadSpool(); err != nil {
 		return nil, err
@@ -440,6 +449,7 @@ func (s *Supervisor) Stats() Stats {
 		j.mu.Unlock()
 	}
 	s.mu.Unlock()
+	thetaHits, thetaMisses := s.theta.Stats()
 	return Stats{
 		Queued:    s.q.Len(),
 		Running:   running,
@@ -454,6 +464,9 @@ func (s *Supervisor) Stats() Stats {
 		Retries:   s.retries.Load(),
 		Evicted:   s.evicted.Load(),
 		Draining:  s.draining.Load(),
+
+		ThetaHits:   thetaHits,
+		ThetaMisses: thetaMisses,
 	}
 }
 
@@ -738,6 +751,7 @@ func (s *Supervisor) attempt(j *Job, ctx context.Context) (res *sim.Result, err 
 	}
 	reg.AddSink(&jobSink{sink: telemetry.NewJSONLSink(j.stream), job: j})
 	cfg.Telemetry = reg
+	cfg.ThetaMemo = s.theta
 	cfg.Checkpoint = sim.CheckpointConfig{
 		EveryEpochs: s.cfg.CheckpointEvery,
 		Sink:        func(cp *sim.Checkpoint) error { return j.saveSnapshot(cp) },

@@ -45,3 +45,23 @@ func BenchmarkRunnerTelemetry(b *testing.B) {
 	reg.AddSink(telemetry.NewJSONLSink(io.Discard))
 	benchmarkRunner(b, reg)
 }
+
+// BenchmarkProfileTheta is one θ-profiling pass (profile.go): the cost a
+// practical run pays when no ThetaMemo holds its fit.
+func BenchmarkProfileTheta(b *testing.B) {
+	bench, err := workload.ByName("fft")
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := New(DefaultConfig(core.PracT, bench))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.profileTheta(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

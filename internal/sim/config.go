@@ -85,6 +85,11 @@ type Config struct {
 	// "epoch" record per epoch streamed to the registry's sinks. Nil (the
 	// default) disables instrumentation at effectively zero cost.
 	Telemetry *telemetry.Registry
+	// ThetaMemo, when non-nil, shares the practical policies' θ-profiling
+	// fit with every other run on the same memo whose profiling inputs
+	// match (see ThetaMemo). Nil (the default) profiles afresh every run.
+	// Either way the run's outputs are the same, byte for byte.
+	ThetaMemo *ThetaMemo
 	// Faults, when non-nil and non-empty, arms the deterministic fault
 	// injector: scheduled regulator failures, sensor corruption and
 	// activity-trace faults are applied at their scheduled epochs and the

@@ -5,6 +5,7 @@ import (
 
 	"thermogater/internal/core"
 	"thermogater/internal/thermal"
+	"thermogater/internal/uarch"
 )
 
 // profileTheta runs the profiling pass the practical policies rely on
@@ -12,9 +13,12 @@ import (
 // exposes every regulator to on/off transitions, from which the
 // per-regulator proportionality constants θᵢ of Eqn. 2 (ΔTᵢ = θᵢ·ΔPᵢ) are
 // extracted by least squares. The pass uses its own activity stream and
-// thermal model so the measured run is unaffected; θᵢ values depend only
-// on the floorplan, matching the paper's observation that they "do not
-// change if the floorplan is fixed".
+// thermal model so the measured run is unaffected. The paper observes that
+// θᵢ "do not change if the floorplan is fixed"; the floorplan always is,
+// and the fit also depends on the workload (Benchmark or Mix), Seed,
+// EpochMS, SubstepMS, Design, Thermal and ProfilingEpochs. Those are the
+// fields thetaKey hashes to memoise the fit (thetamemo.go): a Config field
+// newly read here must be added to thetaInputs too.
 func (r *Runner) profileTheta() (core.ThetaModel, error) {
 	if r.cfg.ProfilingEpochs < 3 {
 		return core.ThetaModel{}, fmt.Errorf("sim: profiling needs at least 3 epochs, got %d", r.cfg.ProfilingEpochs)
@@ -34,6 +38,8 @@ func (r *Runner) profileTheta() (core.ThetaModel, error) {
 	blockPower := make([]float64, len(r.chip.Blocks))
 	vrPower := make([]float64, nVR)
 	avgActivity := make([]float64, len(r.chip.Blocks))
+	// One epoch's frames, refilled in place every profiling epoch.
+	frames := make([]uarch.Frame, r.stepsPerEpoch)
 
 	lastLoss := make([]float64, nVR)
 	lastTemp := make([]float64, nVR)
@@ -51,9 +57,10 @@ func (r *Runner) profileTheta() (core.ThetaModel, error) {
 		if r.ctxErr() != nil {
 			return core.ThetaModel{}, &CancelError{Epoch: -1, Cause: cancelCause(r.runCtx)}
 		}
-		frames, err := r.epochFrames(usim)
-		if err != nil {
-			return core.ThetaModel{}, err
+		for s := range frames {
+			if err := usim.StepInto(r.cfg.SubstepMS, &frames[s]); err != nil {
+				return core.ThetaModel{}, err
+			}
 		}
 		averageActivity(frames, avgActivity)
 		tm.BlockTemps(blockTemps)

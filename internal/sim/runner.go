@@ -338,22 +338,6 @@ func (r *Runner) updateDVFS(avgActivity []float64) error {
 // Chip exposes the floorplan (useful to callers labelling results).
 func (r *Runner) Chip() *floorplan.Chip { return r.chip }
 
-// epochFrames advances the activity simulator by one epoch and returns its
-// substep frames. The measured run uses produceEpoch's recycled buffers
-// instead; this allocating variant serves the θ-profiling pass, which
-// runs once before measurement.
-func (r *Runner) epochFrames(sim *uarch.Simulator) ([]uarch.Frame, error) {
-	frames := make([]uarch.Frame, r.stepsPerEpoch)
-	for s := range frames {
-		f, err := sim.Step(r.cfg.SubstepMS)
-		if err != nil {
-			return nil, err
-		}
-		frames[s] = f
-	}
-	return frames, nil
-}
-
 // produceEpoch advances the activity simulator one epoch, refilling the
 // runner's recycled frame buffer in place. Everything the physics loop
 // retains across epochs (stepCurrents, the worst-noise snapshot,
@@ -631,9 +615,10 @@ func (r *Runner) legalCount(d int, demandA float64) (int, bool) {
 
 // Run executes the configured simulation and aggregates the results. For
 // the practical policies it first runs the θ-extraction profiling pass,
-// unless a theta model was installed already. It is equivalent to
-// RunContext with a background (never-canceled) context, which keeps every
-// pre-existing caller compiling and behaving unchanged.
+// unless a theta model was installed already or Config.ThetaMemo holds
+// the fit. It is equivalent to RunContext with a background
+// (never-canceled) context, which keeps every pre-existing caller
+// compiling and behaving unchanged.
 func (r *Runner) Run() (*Result, error) {
 	return r.RunContext(context.Background())
 }
@@ -654,7 +639,7 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 		return nil, &CancelError{Epoch: -1, Cause: cancelCause(ctx)}
 	}
 	if (r.cfg.Policy == core.PracT || r.cfg.Policy == core.PracVT) && len(r.gov.Theta().Theta) == 0 {
-		theta, err := r.profileTheta()
+		theta, err := r.fitTheta()
 		if err != nil {
 			return nil, fmt.Errorf("sim: profiling pass: %w", err)
 		}
