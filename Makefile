@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test race vet fmt-check lint lint-json lint-incremental alloc-gate sanitize fuzz chaos chaos-serve verify bench bench-baseline bench-serve
+.PHONY: build test race vet fmt-check lint lint-json alloc-gate sanitize fuzz chaos chaos-serve verify bench bench-baseline
 
 build:
 	$(GO) build ./...
@@ -33,17 +33,11 @@ lint:
 lint-json:
 	$(GO) run ./cmd/tglint -json ./...
 
-# Incremental lint: per-package fingerprint cache under .tglint-cache/.
-# A no-change rerun skips loading entirely and replays cached findings;
-# output is byte-identical to the full run (see docs/STATIC_ANALYSIS.md,
-# "Incremental analysis"). Cache-hit stats go to stderr.
-lint-incremental:
-	$(GO) run ./cmd/tglint -cache .tglint-cache ./...
-
 # Hard zero-allocation gate on the steady-state epoch loop, one subtest
 # per policy (see docs/PERFORMANCE.md, "The zero-allocation contract").
-# -count=1 defeats cached test verdicts; never add -race here: its
-# instrumentation allocates and the gate requires exactly zero.
+# A local entry point: `make test` runs the same test. -count=1 defeats
+# cached test verdicts; never add -race here: its instrumentation
+# allocates and the gate requires exactly zero.
 alloc-gate:
 	$(GO) test -run TestStepEpochZeroAllocs -count=1 ./internal/sim/
 
@@ -68,13 +62,15 @@ fuzz:
 
 # Chaos gate: every fault model under the sanitizer, kill-and-resume
 # byte-identity, degraded policy ladders, and the tolerant sweep paths
-# (see docs/ROBUSTNESS.md).
+# (see docs/ROBUSTNESS.md). A local entry point: `make sanitize` runs
+# these tests too.
 chaos:
 	$(GO) test -tags tgsan -run 'TestFaultMatrix|TestCheckpoint|TestDegraded|TestSweepKeepGoing|TestSweepRecoversPanic|TestSweepAllCellsFailed|TestWatchdog' ./internal/sim/ ./internal/experiments/ ./internal/thermal/
 
 # Service chaos gate: kill workers mid-job, preempt, drain/restart, abuse
 # the streaming path, then verify no job was lost, duplicated, or made
-# non-deterministic (see docs/SERVICE.md).
+# non-deterministic (see docs/SERVICE.md). A local entry point: `make
+# race` and `make test` run these tests too.
 chaos-serve:
 	./scripts/chaos_serve.sh
 
@@ -90,9 +86,3 @@ bench:
 # cache-disabled control and allocation columns) and validate it.
 bench-baseline:
 	./scripts/bench_baseline.sh
-
-# Regenerate the committed service baseline (BENCH_serve.json): latency
-# percentiles + throughput for 1000 concurrent small jobs, and the
-# preemption byte-identity oracle. Validated by `tgserve -check`.
-bench-serve:
-	$(GO) run ./cmd/tgserve -bench -out BENCH_serve.json

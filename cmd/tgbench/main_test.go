@@ -99,14 +99,14 @@ func TestPairedEstimators(t *testing.T) {
 // the allocation pass must produce a self-consistent case — the exact
 // properties -check later enforces on the committed file.
 func TestMeasureCacheControlAndAllocs(t *testing.T) {
-	// The committed baseline's 150 ms duration and the median of 3
-	// interleaved rounds. The phase ratio is a ratio of wall times, and
-	// on a loaded host (the race detector running other packages' tests
-	// alongside) a scheduler preemption of several milliseconds landing
-	// in one phase outweighs a 30 ms run's whole pdn phase: one such run
-	// read 0.83. Five times the epochs and three rounds average those
-	// lumps out.
-	b, err := measure([]benchCase{{"oracT", "fft"}}, 150, 3, 0, 1)
+	// The committed baseline's 150 ms duration, one discarded warm-up
+	// round and the median of 7 interleaved rounds, as its -reps 7. The
+	// phase ratio is a ratio of wall times. On a loaded host (other
+	// packages' tests running alongside), a scheduler preemption of
+	// several milliseconds that lands in one run's pdn phase outweighs
+	// the whole phase. With 3 rounds, two such hits move the median
+	// below 1; with 7 rounds it takes four.
+	b, err := measure([]benchCase{{"oracT", "fft"}}, 150, 7, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

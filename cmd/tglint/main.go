@@ -54,8 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list       = fs.Bool("list", false, "list available passes and exit")
 		jsonOut    = fs.Bool("json", false, "emit diagnostics as a JSON array instead of plain text")
 		verbose    = fs.Bool("v", false, "also print soft type-check errors")
-		cacheDir   = fs.String("cache", "", "enable incremental analysis with this cache directory (e.g. .tglint-cache)")
-		statsPath  = fs.String("cache-stats", "", "with -cache, also write hit/miss statistics as JSON to this file")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: tglint [flags] [packages]\n")
@@ -108,43 +106,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var diags []analysis.Diagnostic
-	if *cacheDir != "" {
-		// Incremental mode: diagnostics on stdout stay byte-identical to a
-		// full run (the CI drift gate depends on that), so cache statistics
-		// go to stderr and, optionally, a -cache-stats JSON file.
-		var stats *analysis.CacheStats
-		diags, stats, err = analysis.RunIncremental(cwd, patterns, analyzers, cfg, *cacheDir)
-		if err != nil {
-			fmt.Fprintf(stderr, "tglint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "tglint: cache: %s\n", stats.Summary())
-		if *statsPath != "" {
-			b, err := json.MarshalIndent(stats, "", "  ")
-			if err == nil {
-				err = os.WriteFile(*statsPath, append(b, '\n'), 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(stderr, "tglint: cache stats: %v\n", err)
-				return 2
-			}
-		}
-	} else {
-		pkgs, err := analysis.Load(cwd, patterns)
-		if err != nil {
-			fmt.Fprintf(stderr, "tglint: %v\n", err)
-			return 2
-		}
-		if *verbose {
-			for _, pkg := range pkgs {
-				for _, terr := range pkg.TypeErrors {
-					fmt.Fprintf(stderr, "tglint: %s: type-check: %v\n", pkg.ImportPath, terr)
-				}
-			}
-		}
-		diags = analysis.Run(pkgs, analyzers, cfg)
+	pkgs, err := analysis.Load(cwd, patterns)
+	if err != nil {
+		fmt.Fprintf(stderr, "tglint: %v\n", err)
+		return 2
 	}
+	if *verbose {
+		for _, pkg := range pkgs {
+			for _, terr := range pkg.TypeErrors {
+				fmt.Fprintf(stderr, "tglint: %s: type-check: %v\n", pkg.ImportPath, terr)
+			}
+		}
+	}
+	diags := analysis.Run(pkgs, analyzers, cfg)
 	if *jsonOut {
 		out := make([]jsonDiagnostic, 0, len(diags))
 		for _, d := range diags {

@@ -9,13 +9,8 @@
 //
 //	tgserve -addr localhost:8080 -workers 4 -spool /var/tmp/tgserve
 //
-// Record the service baseline (writes BENCH_serve.json):
-//
-//	tgserve -bench -out BENCH_serve.json
-//
-// CI gate over the committed baseline:
-//
-//	tgserve -check BENCH_serve.json
+// The service's end-to-end throughput and latency are measured from
+// outside by perfbench (perfbench/README.md).
 package main
 
 import (
@@ -44,41 +39,24 @@ func main() {
 		spool        = flag.String("spool", "", "directory for drain/restart job spooling (empty = off)")
 		resultTTL    = flag.Duration("result-ttl", 15*time.Minute, "evict finished jobs (results + streams) this long after they settle (negative = keep forever)")
 		frozenClock  = flag.Bool("frozen-clock", false, "pin telemetry clocks to the Unix epoch (byte-deterministic streams; chaos-suite mode)")
-		bench        = flag.Bool("bench", false, "run the service benchmark instead of serving")
-		benchJobs    = flag.Int("bench-jobs", 1000, "small-job burst size for -bench")
-		benchMS      = flag.Int("bench-duration", 10, "small-job simulated length in ms for -bench")
-		out          = flag.String("out", "BENCH_serve.json", "output file for -bench")
-		check        = flag.String("check", "", "validate a committed BENCH_serve.json and exit")
 	)
 	flag.Parse()
 
-	switch {
-	case *check != "":
-		if err := runCheck(*check); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s: OK\n", *check)
-	case *bench:
-		if err := runBench(*benchJobs, *benchMS, *out); err != nil {
-			fatal(err)
-		}
-	default:
-		if err := runServe(serveOptions{
-			addr: *addr,
-			cfg: serve.Config{
-				Workers:         *workers,
-				QueueLimit:      *queueLimit,
-				MaxAttempts:     *maxAttempts,
-				RetryBackoff:    *backoff,
-				PreemptAfter:    *preemptAfter,
-				CheckpointEvery: *ckptEvery,
-				SpoolDir:        *spool,
-				ResultTTL:       *resultTTL,
-				FrozenClock:     *frozenClock,
-			},
-		}); err != nil {
-			fatal(err)
-		}
+	if err := runServe(serveOptions{
+		addr: *addr,
+		cfg: serve.Config{
+			Workers:         *workers,
+			QueueLimit:      *queueLimit,
+			MaxAttempts:     *maxAttempts,
+			RetryBackoff:    *backoff,
+			PreemptAfter:    *preemptAfter,
+			CheckpointEvery: *ckptEvery,
+			SpoolDir:        *spool,
+			ResultTTL:       *resultTTL,
+			FrozenClock:     *frozenClock,
+		},
+	}); err != nil {
+		fatal(err)
 	}
 }
 
@@ -140,39 +118,4 @@ func runServe(o serveOptions) error {
 	}
 	fmt.Fprintln(os.Stderr, "tgserve: drained cleanly")
 	return nil
-}
-
-func runBench(jobs, durationMS int, out string) error {
-	rep, err := serve.RunBench(serve.BenchOptions{Jobs: jobs, DurationMS: durationMS}, os.Stderr)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := serve.WriteReport(f, rep); err != nil {
-		//lint:ignore errsink the write error is the one worth reporting
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "tgserve: wrote %s\n", out)
-	return serve.Check(rep)
-}
-
-func runCheck(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	//lint:ignore errsink read-only file: Close cannot lose data and its error carries no signal
-	defer f.Close()
-	rep, err := serve.ReadReport(f)
-	if err != nil {
-		return err
-	}
-	return serve.Check(rep)
 }

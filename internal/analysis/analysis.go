@@ -173,22 +173,6 @@ func ByName(name string) *Analyzer {
 // workers; the final sort keeps the output deterministic regardless of
 // scheduling.
 func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Diagnostic {
-	perPkg := runPerPkg(pkgs, analyzers, cfg, nil)
-	var out []Diagnostic
-	for _, pkg := range pkgs {
-		out = append(out, perPkg[pkg.ImportPath]...)
-	}
-	sortDiagnostics(out)
-	return out
-}
-
-// runPerPkg is Run's core: it analyzes every package not listed in skip
-// and returns the diagnostics keyed by import path. Skipped packages
-// still participate in Program construction — interprocedural passes see
-// the whole program either way — they just don't re-run their passes;
-// the incremental driver (incremental.go) substitutes their cached
-// findings.
-func runPerPkg(pkgs []*Package, analyzers []*Analyzer, cfg *Config, skip map[string]bool) map[string][]Diagnostic {
 	if cfg == nil {
 		cfg = DefaultConfig()
 	}
@@ -205,9 +189,6 @@ func runPerPkg(pkgs []*Package, analyzers []*Analyzer, cfg *Config, skip map[str
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i, pkg := range pkgs {
-		if skip[pkg.ImportPath] {
-			continue
-		}
 		wg.Add(1)
 		go func(i int, pkg *Package) {
 			defer wg.Done()
@@ -238,18 +219,16 @@ func runPerPkg(pkgs []*Package, analyzers []*Analyzer, cfg *Config, skip map[str
 	}
 	wg.Wait()
 
-	out := make(map[string][]Diagnostic, len(pkgs))
-	for i, pkg := range pkgs {
-		if !skip[pkg.ImportPath] {
-			out[pkg.ImportPath] = perPkg[i]
-		}
+	var out []Diagnostic
+	for _, diags := range perPkg {
+		out = append(out, diags...)
 	}
+	sortDiagnostics(out)
 	return out
 }
 
 // sortDiagnostics orders diagnostics by file, line, column, then pass —
-// the one canonical order every tglint entry point emits, so full and
-// incremental runs are byte-comparable.
+// one canonical order regardless of scheduling.
 func sortDiagnostics(out []Diagnostic) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

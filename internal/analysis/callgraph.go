@@ -269,11 +269,10 @@ func (p *Program) pkgByPath(path string) *Package {
 
 // depClosure returns the import paths of target plus its transitive
 // dependencies, walked over the type-checker's package graph (export
-// data included) — the set an incremental run fingerprints, so a
-// finding built from it can never go stale through a package the
-// fingerprint does not cover. The closure can under-approximate go
-// list's Deps for packages only reachable through unexported API, which
-// at worst drops a lock edge — never a stale cache entry.
+// data included), so a finding in target depends only on code target
+// can reach. The closure can under-approximate go list's -deps for
+// packages only reachable through unexported API, which at worst drops
+// a lock edge.
 func depClosure(target *Package) map[string]bool {
 	seen := map[string]bool{target.ImportPath: true}
 	var walk func(p *types.Package)

@@ -37,25 +37,19 @@ type listPackage struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
-	Deps       []string // transitive import paths, sorted by go list
 	Export     string
 	Standard   bool
 	DepOnly    bool
 	Error      *struct{ Err string }
 }
 
-// goList expands the patterns relative to dir with `go list -e -deps`,
-// returning every emitted entry (targets and dependencies alike). With
-// export set it also asks the toolchain for compiler export data, which
-// forces a (cached) compile of every dependency; the incremental driver
-// calls it without export first, because fingerprinting a clean tree
-// needs only file lists.
-func goList(dir string, patterns []string, export bool) ([]listPackage, error) {
-	args := []string{"list", "-e", "-deps"}
-	if export {
-		args = append(args, "-export")
-	}
-	args = append(args, "-json=ImportPath,Dir,GoFiles,Deps,Export,Standard,DepOnly,Error", "--")
+// goList expands the patterns relative to dir with `go list -e -deps
+// -export`, returning every emitted entry (targets and dependencies
+// alike) with the compiler export data path, which forces a (cached)
+// compile of every dependency.
+func goList(dir string, patterns []string) ([]listPackage, error) {
+	args := []string{"list", "-e", "-deps", "-export",
+		"-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly,Error", "--"}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -79,18 +73,6 @@ func goList(dir string, patterns []string, export bool) ([]listPackage, error) {
 	return all, nil
 }
 
-// listTargets filters a goList result down to the matched (non-dep,
-// non-stdlib) target packages.
-func listTargets(all []listPackage) []listPackage {
-	var targets []listPackage
-	for _, p := range all {
-		if !p.DepOnly && !p.Standard {
-			targets = append(targets, p)
-		}
-	}
-	return targets
-}
-
 // Load expands the go list patterns (e.g. "./...") relative to dir,
 // parses every non-test Go file of each matched package, and type-checks
 // it. Imports — stdlib and module-internal alike — are resolved from the
@@ -100,23 +82,20 @@ func listTargets(all []listPackage) []listPackage {
 // workers with deterministic result order. Test files are not loaded:
 // tglint's passes lint production code only.
 func Load(dir string, patterns []string) ([]*Package, error) {
-	all, err := goList(dir, patterns, true)
+	all, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	return loadTargets(all, patterns)
-}
-
-// loadTargets parses and type-checks the target packages of a goList
-// run that was made with export data.
-func loadTargets(all []listPackage, patterns []string) ([]*Package, error) {
 	exports := make(map[string]string)
+	var targets []listPackage
 	for _, p := range all {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
+		if !p.DepOnly && !p.Standard {
+			targets = append(targets, p)
+		}
 	}
-	targets := listTargets(all)
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("no packages matched %v", patterns)
 	}

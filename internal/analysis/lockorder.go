@@ -63,10 +63,10 @@ func runLockorder(pass *Pass) {
 		return
 	}
 
-	// The graph is assembled from the package's dependency closure, the
-	// exact set an incremental run loads: Go imports are acyclic, so a
-	// cross-package cycle is always visible from the package owning the
-	// downstream edge, and full and incremental runs see the same graph.
+	// The graph is assembled from the package's dependency closure: Go
+	// imports are acyclic, so a cross-package cycle is always visible
+	// from the package owning the downstream edge, and a package's
+	// findings never depend on the packages that import it.
 	sums := prog.LockSummaries()
 	anns := syncAnns(prog)
 	closure := depClosure(pkg)

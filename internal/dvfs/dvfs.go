@@ -192,8 +192,13 @@ func (g *Governor) Restore(s *State) error {
 	if s == nil {
 		return errors.New("dvfs: nil state")
 	}
-	if len(s.Level) != len(g.level) || len(s.UpRun) != len(g.level) || len(s.DownRun) != len(g.level) {
-		return fmt.Errorf("dvfs: state covers %d domains, governor has %d", len(s.Level), len(g.level))
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"Level", len(s.Level)}, {"UpRun", len(s.UpRun)}, {"DownRun", len(s.DownRun)}} {
+		if f.n != len(g.level) {
+			return fmt.Errorf("dvfs: state %s covers %d domains, governor has %d", f.name, f.n, len(g.level))
+		}
 	}
 	for d, l := range s.Level {
 		if l < 0 || l >= len(g.cfg.Points) {

@@ -2,6 +2,8 @@ package dvfs
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -174,5 +176,49 @@ func TestGovernorConfigAccessor(t *testing.T) {
 	p := g.Point(0)
 	if p != g.Config().Nominal() {
 		t.Errorf("fresh domain not at nominal: %+v", p)
+	}
+}
+
+func TestGovernorStateRestore(t *testing.T) {
+	g, _ := NewGovernor(3, DefaultConfig())
+	for i := 0; i < 7; i++ {
+		_, _ = g.Observe(0, 0.05)
+		_, _ = g.Observe(2, 0.5)
+	}
+	st := g.State()
+	h, _ := NewGovernor(3, DefaultConfig())
+	if err := h.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.State(); !reflect.DeepEqual(got, st) {
+		t.Fatalf("restored state %+v, want %+v", got, st)
+	}
+
+	if err := h.Restore(nil); err == nil {
+		t.Error("nil state accepted")
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*State)
+	}{
+		{"Level", func(s *State) { s.Level = s.Level[:2] }},
+		{"UpRun", func(s *State) { s.UpRun = s.UpRun[:2] }},
+		{"DownRun", func(s *State) { s.DownRun = append(s.DownRun, 0) }},
+	} {
+		bad := g.State()
+		tc.mut(bad)
+		err := h.Restore(bad)
+		if err == nil {
+			t.Errorf("wrong-length %s accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "state "+tc.name+" covers") {
+			t.Errorf("wrong-length %s reported as %q", tc.name, err)
+		}
+	}
+	bad := g.State()
+	bad.Level[1] = len(DefaultConfig().Points)
+	if err := h.Restore(bad); err == nil {
+		t.Error("level outside the ladder accepted")
 	}
 }

@@ -6,7 +6,7 @@ package serve
 // clients, fault-schedule jobs — and asserts the service's invariants
 // held: no job lost, no record duplicated, and (under a frozen clock)
 // the final telemetry stream byte-identical to an uninterrupted run's.
-// scripts/chaos_serve.sh and the CI serve job run these with -race.
+// scripts/chaos_serve.sh and `make race` run these with -race.
 
 import (
 	"bytes"
@@ -81,46 +81,71 @@ func TestChaosKillResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestChaosRepeatedPreemptionByteIdentical parks a running job up to
+// three times and checks the resumed stream against an uninterrupted
+// run. The pracVT row carries θ state and the supervisor's θ memo across
+// each park, which the all-on row cannot exercise.
 func TestChaosRepeatedPreemptionByteIdentical(t *testing.T) {
-	spec := chaosSpec(701)
-	want := referenceStream(t, spec)
+	for _, tc := range []struct {
+		name            string
+		spec            JobSpec
+		checkpointEvery int
+		// mustPark fails the row when no preemption lands instead of
+		// skipping it: the run is long enough that one always should.
+		mustPark bool
+	}{
+		{name: "all-on", spec: chaosSpec(701), checkpointEvery: 25},
+		{
+			name:            "pracVT",
+			spec:            JobSpec{Policy: "pracVT", Benchmark: "lu_ncb", Seed: 7, DurationMS: 200, WarmupEpochs: 5},
+			checkpointEvery: 50,
+			mustPark:        true,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := referenceStream(t, tc.spec)
 
-	sup := newTestSupervisor(t, Config{
-		Workers:         2,
-		FrozenClock:     true,
-		CheckpointEvery: 25,
-	})
-	j, _, err := sup.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Preempt is a no-op unless the job is running at that instant, so
-	// count landed parks from the supervisor's counter, not our calls.
-	for round := 0; round < 3; round++ {
-		waitStreamLen(t, j, (round+1)*2048)
-		if j.State() == StateDone {
-			break
-		}
-		if err := sup.Preempt(j.ID); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(5 * time.Millisecond) // let the park land before the next round
-	}
-	waitState(t, j, StateDone)
-	parks := sup.Stats().Preempted
-	got := j.Stream().Bytes()
-	if !bytes.Equal(got, want) {
-		t.Fatalf("stream after %d preemptions (%d bytes) differs from the reference (%d bytes)", parks, len(got), len(want))
-	}
-	if parks < 1 {
-		// Preemption lands only against a running job; on a fast or
-		// noisily scheduled box the run can finish between the stream
-		// checks and every park request. Same escape as the kill test.
-		t.Skip("job finished before any preemption landed")
-	}
-	// Preemption spends no attempts: parking is not failing.
-	if snap := j.Snapshot(); snap.Attempts != 1 {
-		t.Errorf("preempted job consumed %d attempts, want 1", snap.Attempts)
+			sup := newTestSupervisor(t, Config{
+				Workers:         2,
+				FrozenClock:     true,
+				CheckpointEvery: tc.checkpointEvery,
+			})
+			j, _, err := sup.Submit(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Preempt is a no-op unless the job is running at that instant, so
+			// count landed parks from the supervisor's counter, not our calls.
+			for round := 0; round < 3; round++ {
+				waitStreamLen(t, j, (round+1)*2048)
+				if j.State() == StateDone {
+					break
+				}
+				if err := sup.Preempt(j.ID); err != nil {
+					t.Fatal(err)
+				}
+				time.Sleep(5 * time.Millisecond) // let the park land before the next round
+			}
+			waitState(t, j, StateDone)
+			parks := sup.Stats().Preempted
+			got := j.Stream().Bytes()
+			if !bytes.Equal(got, want) {
+				t.Fatalf("stream after %d preemptions (%d bytes) differs from the reference (%d bytes)", parks, len(got), len(want))
+			}
+			if parks < 1 {
+				if tc.mustPark {
+					t.Fatal("no preemption landed")
+				}
+				// Preemption lands only against a running job; on a fast or
+				// noisily scheduled box the run can finish between the stream
+				// checks and every park request. Same escape as the kill test.
+				t.Skip("job finished before any preemption landed")
+			}
+			// Preemption spends no attempts: parking is not failing.
+			if snap := j.Snapshot(); snap.Attempts != 1 {
+				t.Errorf("preempted job consumed %d attempts, want 1", snap.Attempts)
+			}
+		})
 	}
 }
 

@@ -503,52 +503,6 @@ func TestHealthAndStats(t *testing.T) {
 	}
 }
 
-func TestBenchReportCheck(t *testing.T) {
-	good := &BenchReport{
-		Schema: BenchSchema,
-		Small: SmallJobsBench{
-			Jobs: 1000, Completed: 1000, P50MS: 5, P99MS: 20, Throughput: 100,
-		},
-		Preempt: PreemptBench{Preempts: 2, ByteIdentical: true, StreamBytes: 10000},
-	}
-	if err := Check(good); err != nil {
-		t.Fatalf("valid report rejected: %v", err)
-	}
-	bad := *good
-	bad.Preempt.ByteIdentical = false
-	if err := Check(&bad); err == nil {
-		t.Error("non-identical preempt stream passed the gate")
-	}
-	bad = *good
-	bad.Small.Completed = 999
-	if err := Check(&bad); err == nil {
-		t.Error("lost job passed the gate")
-	}
-	bad = *good
-	bad.Small.Jobs = 10
-	if err := Check(&bad); err == nil {
-		t.Error("undersized bench passed the gate")
-	}
-	bad = *good
-	bad.Schema = "nope"
-	if err := Check(&bad); err == nil {
-		t.Error("wrong schema passed the gate")
-	}
-
-	// Round-trip through the JSON file format.
-	var buf bytes.Buffer
-	if err := WriteReport(&buf, good); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadReport(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Check(back); err != nil {
-		t.Fatalf("round-tripped report rejected: %v", err)
-	}
-}
-
 // TestSupervisorSharesThetaFits: a pracVT job reuses the θ fit of an
 // earlier pracT job of the same benchmark and seed, and both results and
 // streams equal direct, fresh-fit runs byte for byte.

@@ -83,8 +83,8 @@ type Config struct {
 	// disables eviction).
 	ResultTTL time.Duration
 	// FrozenClock pins every job's telemetry clock to the Unix epoch so
-	// streams are byte-deterministic — the mode the chaos suite and the
-	// preemption byte-identity oracle run the service in.
+	// streams are byte-deterministic — the mode the chaos suite runs the
+	// service in.
 	FrozenClock bool
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"thermogater/internal/core"
+	"thermogater/internal/dvfs"
 	"thermogater/internal/fault"
 	"thermogater/internal/telemetry"
 )
@@ -28,10 +29,13 @@ func constantClockRegistry() (*telemetry.Registry, *bytes.Buffer, *telemetry.JSO
 
 // checkpointTestConfig is a run with as much cross-epoch state as the
 // engine carries: a practical policy (WMA filters, theta, predictor RNG),
-// aging accumulation, sensor noise and an armed fault schedule.
+// the DVFS governor's levels and hysteresis runs, aging accumulation,
+// sensor noise and an armed fault schedule.
 func checkpointTestConfig(t *testing.T) Config {
 	t.Helper()
 	cfg := telemetryTestConfig(t, core.PracVT)
+	vf := dvfs.DefaultConfig()
+	cfg.DVFS = &vf
 	cfg.TrackAging = true
 	cfg.SensorNoiseC = 0.05
 	sched, err := fault.ParseSchedule("vr-stuck-off@15:unit=3; sensor-dropout@25+10:unit=40; trace-gap@30+5:unit=2")

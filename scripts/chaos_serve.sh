@@ -32,7 +32,4 @@ go test -race -count=1 -timeout 300s \
 echo "chaos-serve: process-level SIGTERM drain + spool restart"
 go test -count=1 -timeout 300s -run 'TestServeSIGTERM' ./cmd/tgserve/
 
-echo "chaos-serve: committed benchmark baseline gate"
-go run ./cmd/tgserve -check BENCH_serve.json
-
 echo "chaos-serve: OK"
