@@ -14,9 +14,8 @@
 // array on a clean tree) for CI artifact collection and the GitHub
 // problem matcher. The process exits 1 when any unsuppressed
 // diagnostic is found, 2 on usage or load failure, and 0 on a clean
-// tree, so `make verify` and CI can gate on it. Configuration is read
-// from the nearest .tglint.json (walking up from the working
-// directory) unless -config overrides it.
+// tree, so `make verify` and CI can gate on it. The passes run with
+// analysis.DefaultConfig.
 package main
 
 import (
@@ -49,11 +48,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tglint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		configPath = fs.String("config", "", "path to .tglint.json (default: nearest ancestor of the working directory)")
-		passList   = fs.String("passes", "", "comma-separated subset of passes to run (default: all)")
-		list       = fs.Bool("list", false, "list available passes and exit")
-		jsonOut    = fs.Bool("json", false, "emit diagnostics as a JSON array instead of plain text")
-		verbose    = fs.Bool("v", false, "also print soft type-check errors")
+		passList = fs.String("passes", "", "comma-separated subset of passes to run (default: all)")
+		list     = fs.Bool("list", false, "list available passes and exit")
+		jsonOut  = fs.Bool("json", false, "emit diagnostics as a JSON array instead of plain text")
+		verbose  = fs.Bool("v", false, "also print soft type-check errors")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: tglint [flags] [packages]\n")
@@ -93,19 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "tglint: %v\n", err)
 		return 2
 	}
-	cfg := analysis.DefaultConfig()
-	path := *configPath
-	if path == "" {
-		path = analysis.FindConfig(cwd)
-	}
-	if path != "" {
-		cfg, err = analysis.LoadConfig(path)
-		if err != nil {
-			fmt.Fprintf(stderr, "tglint: %v\n", err)
-			return 2
-		}
-	}
-
 	pkgs, err := analysis.Load(cwd, patterns)
 	if err != nil {
 		fmt.Fprintf(stderr, "tglint: %v\n", err)
@@ -118,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	diags := analysis.Run(pkgs, analyzers, cfg)
+	diags := analysis.Run(pkgs, analyzers, analysis.DefaultConfig())
 	if *jsonOut {
 		out := make([]jsonDiagnostic, 0, len(diags))
 		for _, d := range diags {

@@ -11,7 +11,7 @@ const fixtures = "../../internal/analysis/testdata/src"
 
 // TestDriverFlagsSeededViolations runs the real driver over the fixture
 // packages and proves every pass fires through the full pipeline (go
-// list loading, config discovery, suppression, exit code).
+// list loading, suppression, exit code).
 func TestDriverFlagsSeededViolations(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{

@@ -4,8 +4,8 @@
 // tables are emitted as GitHub-flavoured markdown, ready to paste into
 // EXPERIMENTS.md.
 //
-// The sweep is fault-tolerant: a cell that fails (after one retry) is
-// reported on stderr and the remaining cells still complete and print.
+// The sweep is fault-tolerant: a cell that fails is reported on stderr
+// and the remaining cells still complete and print.
 // With -faults every cell runs under the given fault schedule (see
 // docs/ROBUSTNESS.md for the grammar).
 package main
@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"thermogater/internal/core"
 	"thermogater/internal/experiments"
@@ -31,7 +30,6 @@ func main() {
 		parallel = flag.Int("parallel", 0, "max concurrent runs (0 = GOMAXPROCS)")
 		markdown = flag.Bool("markdown", false, "emit markdown tables")
 		faults   = flag.String("faults", "", "fault schedule armed in every run, e.g. 'vr-stuck-off@30:unit=12;sensor-noise@0:value=0.1'")
-		retries  = flag.Int("retries", 2, "attempts per (policy, benchmark) cell before recording it as failed")
 	)
 	flag.Parse()
 
@@ -42,12 +40,9 @@ func main() {
 	}
 
 	opts := experiments.Options{
-		DurationMS:   *duration,
-		Seed:         *seed,
-		Parallel:     *parallel,
-		KeepGoing:    true,
-		MaxAttempts:  *retries,
-		RetryBackoff: 100 * time.Millisecond,
+		DurationMS: *duration,
+		Seed:       *seed,
+		Parallel:   *parallel,
 	}
 	if sched != nil {
 		opts.Mutate = func(policy core.PolicyKind, bench workload.Profile, cfg *sim.Config) {
@@ -56,8 +51,10 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "tgsweep: running 14 benchmarks × %d policies (duration %dms, seed %d)\n",
 		len(experiments.SweepPolicies()), *duration, *seed)
+	// A failed cell comes back in sweep.Failures alongside a non-nil
+	// error; only invalid input yields no sweep at all.
 	sweep, err := experiments.RunSweep(experiments.SweepPolicies(), opts)
-	if err != nil {
+	if sweep == nil {
 		fmt.Fprintln(os.Stderr, "tgsweep:", err)
 		os.Exit(1)
 	}

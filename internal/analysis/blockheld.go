@@ -41,7 +41,7 @@ var Blockheld = &Analyzer{
 
 func runBlockheld(pass *Pass) {
 	cfg := pass.Config
-	if !pkgMatches(cfg.Tgsync.Packages, pass.ImportPath) || allowedBy(cfg.Tgsync.Allow, pass.ImportPath) {
+	if !pkgMatches(cfg.Tgsync.Packages, pass.ImportPath) {
 		return
 	}
 	prog := pass.Program

@@ -5,7 +5,7 @@ package analysis
 // factors) are flushed only when the topology or geometry they were
 // computed from changes, so any mutation of a watched field that is not
 // followed by the corresponding flush call on every path to return
-// serves stale physics. Rules come from .tglint.json (cacheflush.rules):
+// serves stale physics. Rules come from Config.Cacheflush.Rules:
 // each names a type (base name or full "importpath.Name"), the fields
 // whose mutation invalidates the cache, and the flush callees that
 // rebuild it. An empty flush list declares the fields frozen after

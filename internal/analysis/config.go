@@ -1,116 +1,91 @@
 package analysis
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
-)
+import "strings"
 
-// Config tunes the passes. The repository ships one as .tglint.json at
-// the module root; zero values fall back to the defaults below so a
-// partial file only overrides what it mentions.
+// Config tunes the passes. tglint always runs with DefaultConfig; tests
+// substitute their own to scope a pass to a fixture.
 type Config struct {
 	Detcheck struct {
 		// Packages lists the simulation packages detcheck polices, as
 		// import-path base names (e.g. "thermal") or full import paths.
-		Packages []string `json:"packages"`
+		Packages []string
 		// Allow exempts whole packages by import path (prefix match), e.g.
 		// internal/telemetry, which legitimately reads wall-clock time.
-		Allow []string `json:"allow"`
-	} `json:"detcheck"`
+		Allow []string
+	}
 
 	Floatcheck struct {
 		// Helpers names functions allowed to contain raw float ==/!= —
 		// the approved epsilon-comparison helpers themselves.
-		Helpers []string `json:"helpers"`
-	} `json:"floatcheck"`
+		Helpers []string
+	}
 
 	Errsink struct {
 		// Methods are callee names whose error result must never be
 		// dropped, even via an explicit blank assignment.
-		Methods []string `json:"methods"`
+		Methods []string
 		// InternalPrefixes marks import-path prefixes considered "our"
 		// APIs: any discarded error from a callee in these packages is
 		// flagged (statement-position drops only).
-		InternalPrefixes []string `json:"internalPrefixes"`
-	} `json:"errsink"`
+		InternalPrefixes []string
+	}
 
 	Aliascheck struct {
 		// Packages lists the packages whose exported methods aliascheck
 		// polices, as import-path base names or full import paths.
-		Packages []string `json:"packages"`
-	} `json:"aliascheck"`
+		Packages []string
+	}
 
 	Invcheck struct {
 		// Entrypoints maps import-path base names to the exported stepping
 		// functions/methods that must route through the invariant
 		// sanitizer hooks.
-		Entrypoints map[string][]string `json:"entrypoints"`
-	} `json:"invcheck"`
-
-	Unitflow struct {
-		// Allow exempts whole packages by import path (prefix match).
-		Allow []string `json:"allow"`
-	} `json:"unitflow"`
+		Entrypoints map[string][]string
+	}
 
 	Nanflow struct {
 		// SinkPackages lists the packages (base names or import paths)
 		// whose struct-field writes count as persistent-state sinks.
-		SinkPackages []string `json:"sinkPackages"`
+		SinkPackages []string
 		// Guards are lower-case name fragments; a call to any function or
 		// method whose name contains one is treated as a NaN guard for its
 		// arguments (and receiver), killing taint.
-		Guards []string `json:"guards"`
-		// Sources adds NaN-introducing functions by canonical key
-		// ("path.Name" or "path.(Recv).Name") to the built-in table
-		// (math.Log/Sqrt/Pow/..., strconv.ParseFloat, unchecked division).
-		Sources []string `json:"sources"`
-		// DistrustFields makes division by a struct-field divisor a taint
-		// source too; by default fields are trusted as construction-time
-		// validated configuration.
-		DistrustFields bool `json:"distrustFields"`
-		// Allow exempts whole packages by import path (prefix match).
-		Allow []string `json:"allow"`
-	} `json:"nanflow"`
+		Guards []string
+	}
 
 	Cacheflush struct {
 		// Rules lists the watched type/fields/flush triples; see
 		// CacheflushRule.
-		Rules []CacheflushRule `json:"rules"`
-	} `json:"cacheflush"`
+		Rules []CacheflushRule
+	}
 
 	Statecover struct {
 		// Producers names the snapshot-constructing functions (State,
 		// snapshot); every exported field of the snapshot struct must be
 		// written by one of them.
-		Producers []string `json:"producers"`
+		Producers []string
 		// Consumers names the snapshot-applying functions (Restore); a
 		// consumer taking a named struct S anchors the coverage check.
-		Consumers []string `json:"consumers"`
-	} `json:"statecover"`
+		Consumers []string
+	}
 
 	Tgsync struct {
 		// Packages lists the concurrency-infrastructure packages (base
 		// names or full import paths) blockheld and the golife settle
 		// rules police. lockorder/unlockpath and the goroutine/timer
-		// checks run everywhere outside Allow.
-		Packages []string `json:"packages"`
+		// checks run everywhere.
+		Packages []string
 		// Blocking lists import-path prefixes whose calls count as
 		// blocking I/O while a lock is held.
-		Blocking []string `json:"blocking"`
+		Blocking []string
 		// StopNames are lower-case name fragments that mark a channel as
 		// a stop/teardown signal for golife's forever-loop check.
-		StopNames []string `json:"stopNames"`
+		StopNames []string
 		// Settle declares golife's trigger→notify obligations: a call to
 		// a Trigger outside the settle machinery must have a Notify call
 		// reachable in its CFG.
-		Settle []SettleRule `json:"settle"`
-		// Allow exempts packages (import-path prefixes) from the whole
-		// tgsync family.
-		Allow []string `json:"allow"`
-	} `json:"tgsync"`
+		Settle []SettleRule
+	}
 }
 
 // SettleRule is one golife settle obligation: Triggers are the
@@ -118,8 +93,8 @@ type Config struct {
 // that must stay reachable from every trigger call site. Functions
 // named in either list are themselves exempt (they ARE the machinery).
 type SettleRule struct {
-	Triggers []string `json:"triggers"`
-	Notify   []string `json:"notify"`
+	Triggers []string
+	Notify   []string
 }
 
 // CacheflushRule declares one mutation-implies-flush invariant for the
@@ -129,13 +104,12 @@ type SettleRule struct {
 // the package. An empty Flush list declares the fields frozen after
 // construction.
 type CacheflushRule struct {
-	Type   string   `json:"type"`
-	Fields []string `json:"fields"`
-	Flush  []string `json:"flush"`
+	Type   string
+	Fields []string
+	Flush  []string
 }
 
-// DefaultConfig returns the built-in configuration, matching the
-// committed .tglint.json.
+// DefaultConfig returns the configuration tglint runs with.
 func DefaultConfig() *Config {
 	c := &Config{}
 	c.Detcheck.Packages = []string{
@@ -176,66 +150,14 @@ func DefaultConfig() *Config {
 	return c
 }
 
-// LoadConfig reads a JSON config file and overlays it on the defaults.
-func LoadConfig(path string) (*Config, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	cfg := DefaultConfig()
-	dec := json.NewDecoder(strings.NewReader(string(b)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(cfg); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return cfg, nil
-}
-
-// FindConfig walks from dir toward the filesystem root looking for
-// .tglint.json, returning "" when none exists.
-func FindConfig(dir string) string {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return ""
-	}
-	for {
-		p := filepath.Join(dir, ".tglint.json")
-		if _, err := os.Stat(p); err == nil {
-			return p
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return ""
-		}
-		dir = parent
-	}
-}
-
 // detcheckApplies reports whether detcheck polices the package.
 func (c *Config) detcheckApplies(importPath string) bool {
-	for _, allow := range c.Detcheck.Allow {
-		if importPath == allow || strings.HasPrefix(importPath, allow+"/") {
-			return false
-		}
-	}
-	base := importPath[strings.LastIndex(importPath, "/")+1:]
-	for _, p := range c.Detcheck.Packages {
-		if p == base || p == importPath {
-			return true
-		}
-	}
-	return false
+	return !allowedBy(c.Detcheck.Allow, importPath) && pkgMatches(c.Detcheck.Packages, importPath)
 }
 
 // aliascheckApplies reports whether aliascheck polices the package.
 func (c *Config) aliascheckApplies(importPath string) bool {
-	base := importPath[strings.LastIndex(importPath, "/")+1:]
-	for _, p := range c.Aliascheck.Packages {
-		if p == base || p == importPath {
-			return true
-		}
-	}
-	return false
+	return pkgMatches(c.Aliascheck.Packages, importPath)
 }
 
 // invcheckEntrypoints returns the entry-point name set configured for the
@@ -302,7 +224,7 @@ func allowedBy(allow []string, importPath string) bool {
 }
 
 // pkgMatches reports whether an import path matches a configured list of
-// base names or full import paths (the convention detcheck/nanflow use).
+// base names or full import paths.
 func pkgMatches(list []string, importPath string) bool {
 	base := importPath[strings.LastIndex(importPath, "/")+1:]
 	for _, p := range list {
@@ -316,13 +238,7 @@ func pkgMatches(list []string, importPath string) bool {
 // nanflowSinkPackage reports whether field writes in the package count
 // as persistent-state sinks.
 func (c *Config) nanflowSinkPackage(importPath string) bool {
-	base := importPath[strings.LastIndex(importPath, "/")+1:]
-	for _, p := range c.Nanflow.SinkPackages {
-		if p == base || p == importPath {
-			return true
-		}
-	}
-	return false
+	return pkgMatches(c.Nanflow.SinkPackages, importPath)
 }
 
 // nanflowGuardName reports whether a callee name acts as a NaN guard.

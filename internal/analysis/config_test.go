@@ -1,71 +1,6 @@
 package analysis
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
-
-func TestLoadConfigOverlaysDefaults(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, ".tglint.json")
-	if err := os.WriteFile(path, []byte(`{
-		"detcheck": {"allow": ["example.com/other"]},
-		"floatcheck": {"helpers": ["myEq"]}
-	}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := LoadConfig(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cfg.floatcheckHelper("myEq") || cfg.floatcheckHelper("approxEqual") {
-		t.Errorf("helpers not overridden: %v", cfg.Floatcheck.Helpers)
-	}
-	if cfg.detcheckApplies("example.com/other/thing") {
-		t.Error("overridden allowlist not honoured")
-	}
-	// Untouched sections keep their defaults.
-	if !cfg.detcheckApplies("thermogater/internal/thermal") {
-		t.Error("default detcheck package list lost in overlay")
-	}
-	if !cfg.errsinkMethod("Step") {
-		t.Error("default errsink methods lost in overlay")
-	}
-}
-
-func TestLoadConfigRejectsUnknownFields(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, ".tglint.json")
-	if err := os.WriteFile(path, []byte(`{"typocheck": {}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadConfig(path); err == nil {
-		t.Error("unknown top-level key silently accepted")
-	}
-}
-
-func TestFindConfigWalksUp(t *testing.T) {
-	root := t.TempDir()
-	nested := filepath.Join(root, "a", "b")
-	if err := os.MkdirAll(nested, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	want := filepath.Join(root, ".tglint.json")
-	if err := os.WriteFile(want, []byte(`{}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := FindConfig(nested); got != want {
-		t.Errorf("FindConfig(%s) = %q, want %q", nested, got, want)
-	}
-	if got := FindConfig(filepath.Join(os.TempDir(), "definitely-missing-xyz")); got != "" {
-		// A stray .tglint.json above the temp dir would break this
-		// expectation; tolerate only the empty result or a real file.
-		if _, err := os.Stat(got); err != nil {
-			t.Errorf("FindConfig returned nonexistent path %q", got)
-		}
-	}
-}
+import "testing"
 
 func TestDetcheckScoping(t *testing.T) {
 	cfg := DefaultConfig()

@@ -8,8 +8,8 @@ import (
 // Errsink flags dropped error results, stricter than go vet:
 //
 //   - any call in statement position (including defer and go) that
-//     discards an error returned by a module-internal API (config:
-//     errsink.internalPrefixes) or by a callee on the strict-name list
+//     discards an error returned by a module-internal API
+//     (Config.Errsink.InternalPrefixes) or by a callee on the strict-name list
 //     (Step, SetPower, SteadyState, Emit, Flush, Close, Write, ...);
 //   - explicit blank discards (`_ = r.Step(dt)`) of strict-list callees:
 //     solver and sink errors carry state-corruption signals, so even a

@@ -9,7 +9,7 @@ import (
 // thermal and PDN solvers iterate to tolerances; exact equality on their
 // outputs is almost always a latent bug (two mathematically equal
 // expressions rarely compare equal after rounding). Raw comparison is
-// allowed inside the approved epsilon helpers (config: floatcheck.helpers)
+// allowed inside the approved epsilon helpers (Config.Floatcheck.Helpers)
 // and in the x != x NaN idiom; everything else needs an epsilon
 // comparison or a //lint:ignore floatcheck with a reason (sentinel-zero
 // checks on values that are set, never computed, qualify). Test files

@@ -42,10 +42,6 @@ var Golife = &Analyzer{
 }
 
 func runGolife(pass *Pass) {
-	cfg := pass.Config
-	if allowedBy(cfg.Tgsync.Allow, pass.ImportPath) {
-		return
-	}
 	prog := pass.Program
 	pkg := prog.pkgByPath(pass.ImportPath)
 	if pkg == nil {
@@ -67,7 +63,7 @@ func runGolife(pass *Pass) {
 		checkTimers(pass, pkg, anns, u)
 	}
 
-	if pkgMatches(cfg.Tgsync.Packages, pass.ImportPath) {
+	if pkgMatches(pass.Config.Tgsync.Packages, pass.ImportPath) {
 		checkSettle(pass, pkg, anns)
 	}
 }

@@ -53,10 +53,6 @@ func runLockorder(pass *Pass) {
 	_, bad := buildSyncAnns(pass.Fset, pass.Files, "lockorder")
 	pass.diags = append(pass.diags, bad...)
 
-	cfg := pass.Config
-	if allowedBy(cfg.Tgsync.Allow, pass.ImportPath) {
-		return
-	}
 	prog := pass.Program
 	pkg := prog.pkgByPath(pass.ImportPath)
 	if pkg == nil {

@@ -14,7 +14,7 @@ import (
 // strconv.ParseFloat — a trace file containing the literal "NaN" parses
 // without error), and unchecked float division (0/0). Sinks: writes to
 // struct fields of types declared in the state-bearing packages
-// (config: nanflow.sinkPackages — thermal, pdn, vr, sim). A tainted
+// (Config.Nanflow.SinkPackages — thermal, pdn, vr, sim). A tainted
 // value reaching a sink without an intervening guard — math.IsNaN /
 // math.IsInf, the x != x idiom, or any call whose name contains a guard
 // fragment (validate, clamp, sanitize, finite, ...) — is reported.
@@ -31,10 +31,9 @@ import (
 // Deliberate noise control, documented in docs/STATIC_ANALYSIS.md:
 // division taints only when the divisor is a parameter or local that is
 // never compared or validated in the function (struct-field divisors
-// are construction-time-validated configuration unless
-// nanflow.distrustFields is set), guards are flow-insensitive (a guard
-// anywhere in the function clears the object), and indirect calls
-// propagate but never introduce taint.
+// are trusted as construction-time-validated configuration), guards are
+// flow-insensitive (a guard anywhere in the function clears the
+// object), and indirect calls propagate but never introduce taint.
 var Nanflow = &Analyzer{
 	Name:         "nanflow",
 	Doc:          "tracks NaN taint from unchecked sources into persistent simulator state",
@@ -197,16 +196,6 @@ func (n *nanFlow) calleeNames(call *ast.CallExpr) (bare, key string) {
 	return bare, key
 }
 
-// isExtraSource consults the configured additional source keys.
-func (n *nanFlow) isExtraSource(key string) bool {
-	for _, s := range n.cfg.Nanflow.Sources {
-		if s == key {
-			return true
-		}
-	}
-	return false
-}
-
 // taintOf computes the taint mask of an expression.
 func (n *nanFlow) taintOf(env taintEnv, e ast.Expr) uint64 {
 	switch e := ast.Unparen(e).(type) {
@@ -268,11 +257,11 @@ func (n *nanFlow) uncheckedDivision(e *ast.BinaryExpr) bool {
 	if tv, ok := n.pkg.Info.Types[y]; ok && tv.Value != nil {
 		return false // constant divisor
 	}
-	if _, ok := y.(*ast.SelectorExpr); ok && !n.cfg.Nanflow.DistrustFields {
+	if _, ok := y.(*ast.SelectorExpr); ok {
 		return false
 	}
 	if ix, ok := y.(*ast.IndexExpr); ok {
-		if _, isSel := ast.Unparen(ix.X).(*ast.SelectorExpr); isSel && !n.cfg.Nanflow.DistrustFields {
+		if _, isSel := ast.Unparen(ix.X).(*ast.SelectorExpr); isSel {
 			return false
 		}
 	}
@@ -286,7 +275,7 @@ func (n *nanFlow) uncheckedDivision(e *ast.BinaryExpr) bool {
 	if _, ok := obj.(*types.Var); !ok {
 		return false
 	}
-	if fieldOwner(obj) != nil && !n.cfg.Nanflow.DistrustFields {
+	if fieldOwner(obj) != nil {
 		return false
 	}
 	return true
@@ -325,10 +314,7 @@ func (n *nanFlow) callResultTaints(env taintEnv, call *ast.CallExpr) []uint64 {
 	if externalGuards[key] || n.cfg.nanflowGuardName(bare) {
 		return out // a guard's results are clean by definition
 	}
-	if desc, isSource := externalNaNSources[key]; isSource || n.isExtraSource(key) {
-		if desc == "" {
-			desc = key
-		}
+	if _, isSource := externalNaNSources[key]; isSource {
 		for i := range out {
 			out[i] = argT | taintNaN
 		}
@@ -386,8 +372,6 @@ func (n *nanFlow) causeOf(e ast.Expr) string {
 			_, key := n.calleeNames(node)
 			if desc, ok := externalNaNSources[key]; ok {
 				found = desc
-			} else if n.isExtraSource(key) {
-				found = key
 			}
 		case *ast.BinaryExpr:
 			if node.Op == token.QUO && n.uncheckedDivision(node) {
@@ -730,7 +714,7 @@ func snapshotTaintSummary(s *taintSummary) string {
 }
 
 func runNanflow(p *Pass) {
-	if p.Program == nil || allowedBy(p.Config.Nanflow.Allow, p.ImportPath) {
+	if p.Program == nil {
 		return
 	}
 	sums := p.Program.TaintSummaries()

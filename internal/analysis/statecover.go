@@ -10,9 +10,9 @@ import (
 
 // Statecover verifies the checkpoint round-trip contract introduced in
 // the fault-tolerance PR: every subsystem exposes a snapshot producer
-// (State / snapshot, config: statecover.producers) returning a plain
-// exported-field struct, and a consumer (Restore, config:
-// statecover.consumers) that applies one. The gob encoder persists
+// (State / snapshot, Config.Statecover.Producers) returning a plain
+// exported-field struct, and a consumer (Restore,
+// Config.Statecover.Consumers) that applies one. The gob encoder persists
 // exactly the exported fields, so a field that the producer never
 // assigns silently checkpoints as zero, and a field the consumer never
 // reads silently loses state on resume — both are one-line mistakes

@@ -756,7 +756,7 @@ func updateUnitSummary(p *Program, fn *FlowFunc, sums map[string]*unitSummary) b
 }
 
 func runUnitflow(p *Pass) {
-	if p.Program == nil || allowedBy(p.Config.Unitflow.Allow, p.ImportPath) {
+	if p.Program == nil {
 		return
 	}
 	pkg := p.Program.pkgByPath(p.ImportPath)

@@ -38,10 +38,6 @@ type lockEvent struct {
 }
 
 func runUnlockpath(pass *Pass) {
-	cfg := pass.Config
-	if allowedBy(cfg.Tgsync.Allow, pass.ImportPath) {
-		return
-	}
 	anns, _ := buildSyncAnns(pass.Fset, pass.Files, "")
 	pkg := &Package{
 		ImportPath: pass.ImportPath,

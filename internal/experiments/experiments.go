@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"thermogater/internal/core"
 	"thermogater/internal/pdn"
@@ -37,24 +36,10 @@ type Options struct {
 	// cell alongside the per-epoch stream. The registry is concurrency-safe,
 	// so parallel sweep workers share it directly.
 	Telemetry *telemetry.Registry
-	// MaxAttempts bounds how often a failing cell is retried before it is
-	// given up on (values below 1 mean 1 — no retry).
-	MaxAttempts int
-	// RetryBackoff is slept between attempts of the same cell, doubling
-	// each time (0 = retry immediately).
-	RetryBackoff time.Duration
-	// Sleep replaces time.Sleep between retry attempts (nil = time.Sleep).
-	// Tests inject a recording clock here to pin the backoff schedule down
-	// without waiting it out.
-	Sleep func(time.Duration)
-	// KeepGoing makes RunSweep finish the remaining cells when one fails
-	// (after its retries): the failed cells are recorded in
-	// Sweep.Failures instead of aborting the sweep. Only if every cell
-	// fails does RunSweep still return an error.
-	KeepGoing bool
 	// Mutate, when non-nil, edits each cell's configuration after it is
 	// built — the hook fault-injection campaigns use to arm schedules on
-	// selected (policy, benchmark) cells.
+	// selected (policy, benchmark) cells. RunSweep calls it once per cell,
+	// on the worker goroutine that then runs that cell, right before it.
 	Mutate func(policy core.PolicyKind, bench workload.Profile, cfg *sim.Config)
 }
 
@@ -83,14 +68,6 @@ func (o Options) simConfig(policy core.PolicyKind, bench workload.Profile) sim.C
 		o.Mutate(policy, bench, &cfg)
 	}
 	return cfg
-}
-
-// attempts returns the effective per-cell attempt budget.
-func (o Options) attempts() int {
-	if o.MaxAttempts < 1 {
-		return 1
-	}
-	return o.MaxAttempts
 }
 
 // BenchmarkOrder lists the suite in the order the paper's figures use.
@@ -134,50 +111,27 @@ func runOne(cfg sim.Config) (*sim.Result, error) {
 	return res, nil
 }
 
-// runOneRecover runs one cell with panic containment and the configured
-// retry budget: a panicking simulation surfaces as an error like any other
-// failure, and each failed attempt sleeps an exponentially growing backoff
-// before the next one. It returns the result, the number of attempts
-// actually spent, and the last error.
-func runOneRecover(cfg sim.Config, opts Options) (res *sim.Result, attempts int, err error) {
-	one := func() (r *sim.Result, rerr error) {
-		defer func() {
-			if p := recover(); p != nil {
-				r, rerr = nil, fmt.Errorf("experiments: run panicked: %v", p)
-			}
-		}()
-		return runOne(cfg)
-	}
-	sleep := opts.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	backoff := opts.RetryBackoff
-	for attempts = 1; ; attempts++ {
-		res, err = one()
-		if err == nil || attempts >= opts.attempts() {
-			return res, attempts, err
+// runCell runs one cell with panic containment: a panicking simulation
+// surfaces as an error like any other failure.
+func runCell(cfg sim.Config) (res *sim.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("experiments: run panicked: %v", p)
 		}
-		if backoff > 0 {
-			sleep(backoff)
-			backoff *= 2
-		}
-	}
+	}()
+	return runOne(cfg)
 }
 
-// RunError records one sweep cell that failed after exhausting its
-// attempts.
+// RunError records one sweep cell that failed.
 type RunError struct {
 	Benchmark string
 	Policy    string
-	// Attempts is how many times the cell was tried.
-	Attempts int
-	// Err is the last attempt's error text.
+	// Err is the run's error text.
 	Err string
 }
 
 func (e RunError) String() string {
-	return fmt.Sprintf("%s/%s after %d attempt(s): %s", e.Benchmark, e.Policy, e.Attempts, e.Err)
+	return fmt.Sprintf("%s/%s: %s", e.Benchmark, e.Policy, e.Err)
 }
 
 // Sweep holds the results of the full benchmarks × policies evaluation,
@@ -185,17 +139,19 @@ func (e RunError) String() string {
 type Sweep struct {
 	Policies []core.PolicyKind
 	Results  map[string]map[string]*sim.Result
-	// Failures lists the cells that failed after their retries when
-	// Options.KeepGoing let the sweep continue past them; consumers must
-	// expect the corresponding Results cells to be absent. Sorted by
-	// benchmark then policy for deterministic reporting.
+	// Failures lists the cells that failed; the corresponding Results
+	// cells are absent. Sorted by benchmark then policy for deterministic
+	// reporting.
 	Failures []RunError
 }
 
 // RunSweep executes the given policies over the whole benchmark suite
-// concurrently and collects the results. Without Options.KeepGoing the
-// first failed cell (after its retries) aborts the sweep; with it, failed
-// cells land in Sweep.Failures and every other cell still completes.
+// concurrently and collects the results. Every cell runs once: runs are
+// deterministic per configuration, so a retry would fail the same way. A
+// failed cell lands in Sweep.Failures while every other cell still
+// completes; if any failed, RunSweep returns the partial sweep together
+// with an error naming the failure count and the first failure. It
+// returns a nil sweep only for invalid input.
 func RunSweep(policies []core.PolicyKind, opts Options) (*Sweep, error) {
 	if len(policies) == 0 {
 		return nil, errors.New("experiments: no policies to sweep")
@@ -212,26 +168,20 @@ func RunSweep(policies []core.PolicyKind, opts Options) (*Sweep, error) {
 	}
 	jobs := make(chan job)
 	var mu sync.Mutex
-	var firstErr error
 	var wg sync.WaitGroup
 	for w := 0; w < opts.workers(); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				res, attempts, err := runOneRecover(opts.simConfig(j.policy, j.bench), opts)
+				res, err := runCell(opts.simConfig(j.policy, j.bench))
 				mu.Lock()
 				if err != nil {
-					if opts.KeepGoing {
-						sw.Failures = append(sw.Failures, RunError{
-							Benchmark: j.bench.Name,
-							Policy:    j.policy.String(),
-							Attempts:  attempts,
-							Err:       err.Error(),
-						})
-					} else if firstErr == nil {
-						firstErr = fmt.Errorf("%s/%s: %w", j.bench.Name, j.policy, err)
-					}
+					sw.Failures = append(sw.Failures, RunError{
+						Benchmark: j.bench.Name,
+						Policy:    j.policy.String(),
+						Err:       err.Error(),
+					})
 				} else {
 					sw.Results[j.bench.Name][j.policy.String()] = res
 				}
@@ -246,17 +196,15 @@ func RunSweep(policies []core.PolicyKind, opts Options) (*Sweep, error) {
 	}
 	close(jobs)
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
 	sort.Slice(sw.Failures, func(i, j int) bool {
 		if sw.Failures[i].Benchmark != sw.Failures[j].Benchmark {
 			return sw.Failures[i].Benchmark < sw.Failures[j].Benchmark
 		}
 		return sw.Failures[i].Policy < sw.Failures[j].Policy
 	})
-	if len(sw.Failures) == len(suite)*len(policies) {
-		return nil, fmt.Errorf("experiments: every cell failed; first: %s", sw.Failures[0])
+	if len(sw.Failures) > 0 {
+		return sw, fmt.Errorf("experiments: %d of %d cells failed; first: %s",
+			len(sw.Failures), len(suite)*len(policies), sw.Failures[0])
 	}
 	return sw, nil
 }

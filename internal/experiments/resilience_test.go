@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,24 +11,25 @@ import (
 )
 
 // TestSweepKeepGoingRecordsFailures poisons exactly one sweep cell and
-// checks the tolerant mode: the sweep finishes, the poisoned cell appears
-// in Failures with its full retry count, and every other cell still holds
-// a result.
+// checks the failure contract: the sweep finishes, the poisoned cell
+// appears in Failures with its root cause, the returned error names it,
+// and every other cell still holds a result.
 func TestSweepKeepGoingRecordsFailures(t *testing.T) {
 	opts := testOptions()
-	opts.KeepGoing = true
-	opts.MaxAttempts = 2
 	opts.Mutate = func(policy core.PolicyKind, bench workload.Profile, cfg *sim.Config) {
 		if bench.Name == "fft" {
-			// Shorter than its own warm-up: fails deterministically at the
-			// end of the measured loop, on every attempt.
+			// Shorter than its own warm-up: fails deterministically.
 			cfg.DurationMS = 10
 			cfg.WarmupEpochs = 50
 		}
 	}
 	sw, err := RunSweep([]core.PolicyKind{core.AllOn}, opts)
-	if err != nil {
-		t.Fatalf("tolerant sweep aborted: %v", err)
+	if sw == nil {
+		t.Fatalf("sweep with one failed cell returned no partial results: %v", err)
+	}
+	want := fmt.Sprintf("1 of %d cells failed", len(workload.Suite()))
+	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "fft") {
+		t.Errorf("error %v does not name the failure count and the failed cell", err)
 	}
 	if len(sw.Failures) != 1 {
 		t.Fatalf("%d failures recorded, want 1: %v", len(sw.Failures), sw.Failures)
@@ -35,9 +37,6 @@ func TestSweepKeepGoingRecordsFailures(t *testing.T) {
 	f := sw.Failures[0]
 	if f.Benchmark != "fft" || f.Policy != core.AllOn.String() {
 		t.Errorf("failure recorded for %s/%s, want fft/%s", f.Benchmark, f.Policy, core.AllOn)
-	}
-	if f.Attempts != 2 {
-		t.Errorf("failed cell spent %d attempts, want the full budget of 2", f.Attempts)
 	}
 	if !strings.Contains(f.Err, "warm-up") {
 		t.Errorf("failure text %q does not carry the root cause", f.Err)
@@ -55,12 +54,67 @@ func TestSweepKeepGoingRecordsFailures(t *testing.T) {
 	}
 }
 
+// TestSweepKeepGoingReportsEachFailureExactlyOnce poisons two cells across
+// two policies: the sweep must report each failed cell exactly once, and
+// no healthy cell may appear among them.
+func TestSweepKeepGoingReportsEachFailureExactlyOnce(t *testing.T) {
+	opts := testOptions()
+	poison := map[string]bool{"fft": true, "lu_ncb": true}
+	opts.Mutate = func(policy core.PolicyKind, bench workload.Profile, cfg *sim.Config) {
+		if poison[bench.Name] && policy == core.AllOn {
+			cfg.DurationMS = 10
+			cfg.WarmupEpochs = 50
+		}
+	}
+	sw, err := RunSweep([]core.PolicyKind{core.AllOn, core.OracT}, opts)
+	if sw == nil {
+		t.Fatalf("tolerant sweep returned no partial results: %v", err)
+	}
+	if err == nil {
+		t.Error("sweep with failed cells returned no error")
+	}
+	if len(sw.Failures) != 2 {
+		t.Fatalf("%d failures recorded, want 2: %v", len(sw.Failures), sw.Failures)
+	}
+	seen := map[string]int{}
+	for _, f := range sw.Failures {
+		if f.Policy != core.AllOn.String() {
+			t.Errorf("healthy policy %s reported failed for %s", f.Policy, f.Benchmark)
+		}
+		if !poison[f.Benchmark] {
+			t.Errorf("healthy cell %s/%s reported failed", f.Benchmark, f.Policy)
+		}
+		seen[f.Benchmark+"/"+f.Policy]++
+	}
+	for cell, n := range seen {
+		if n != 1 {
+			t.Errorf("cell %s reported %d times, want exactly once", cell, n)
+		}
+	}
+	// Failures are sorted for deterministic reporting.
+	if len(sw.Failures) == 2 && sw.Failures[0].Benchmark > sw.Failures[1].Benchmark {
+		t.Errorf("failures not sorted: %v", sw.Failures)
+	}
+	// The poisoned cells hold no result; every other cell does.
+	for _, b := range BenchmarkOrder() {
+		for _, p := range []core.PolicyKind{core.AllOn, core.OracT} {
+			_, err := sw.Get(b, p)
+			broken := poison[b] && p == core.AllOn
+			if broken && err == nil {
+				t.Errorf("failed cell %s/%s still has a result", b, p)
+			}
+			if !broken && err != nil {
+				t.Errorf("healthy cell %s/%s missing: %v", b, p, err)
+			}
+		}
+	}
+}
+
 // TestSweepRecoversPanic wires a panicking ranking callback into one cell
 // and checks the panic is contained: it becomes a recorded failure, not a
 // crashed test binary.
 func TestSweepRecoversPanic(t *testing.T) {
 	opts := testOptions()
-	opts.KeepGoing = true
 	opts.Mutate = func(policy core.PolicyKind, bench workload.Profile, cfg *sim.Config) {
 		if bench.Name == "fft" {
 			cfg.Policy = core.Custom
@@ -70,8 +124,11 @@ func TestSweepRecoversPanic(t *testing.T) {
 		}
 	}
 	sw, err := RunSweep([]core.PolicyKind{core.AllOn}, opts)
-	if err != nil {
-		t.Fatalf("sweep aborted on a contained panic: %v", err)
+	if sw == nil {
+		t.Fatalf("sweep returned no partial results on a contained panic: %v", err)
+	}
+	if err == nil || !strings.Contains(err.Error(), "injected ranking panic") {
+		t.Errorf("error %v does not carry the panic value", err)
 	}
 	if len(sw.Failures) != 1 {
 		t.Fatalf("%d failures recorded, want 1: %v", len(sw.Failures), sw.Failures)
@@ -85,34 +142,17 @@ func TestSweepRecoversPanic(t *testing.T) {
 // campaign into a silent empty sweep.
 func TestSweepAllCellsFailed(t *testing.T) {
 	opts := testOptions()
-	opts.KeepGoing = true
 	opts.Mutate = func(policy core.PolicyKind, bench workload.Profile, cfg *sim.Config) {
 		cfg.EpochMS = -1 // rejected by Validate in every cell
 	}
-	if _, err := RunSweep([]core.PolicyKind{core.AllOn}, opts); err == nil {
+	sw, err := RunSweep([]core.PolicyKind{core.AllOn}, opts)
+	if err == nil {
 		t.Fatal("sweep with zero surviving cells reported success")
 	}
-}
-
-// TestRunOneRecoverRetriesThenSucceeds exercises the attempt loop's happy
-// ending: a healthy configuration succeeds on the first attempt and spends
-// exactly one attempt doing so.
-func TestRunOneRecoverRetriesThenSucceeds(t *testing.T) {
-	p, err := workload.ByName("fft")
-	if err != nil {
-		t.Fatal(err)
+	if sw == nil {
+		t.Fatalf("sweep returned no partial results: %v", err)
 	}
-	opts := testOptions()
-	opts.MaxAttempts = 3
-	cfg := opts.simConfig(core.AllOn, p)
-	res, attempts, err := runOneRecover(cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attempts != 1 {
-		t.Errorf("healthy run spent %d attempts", attempts)
-	}
-	if res == nil || res.Epochs == 0 {
-		t.Error("healthy run returned an empty result")
+	if n := len(workload.Suite()); len(sw.Failures) != n {
+		t.Errorf("%d failures recorded, want all %d cells", len(sw.Failures), n)
 	}
 }

@@ -125,6 +125,8 @@ func TestSpecValidate(t *testing.T) {
 		{"sim with grid", JobSpec{Policies: []string{"all-on"}}, false},
 		{"wild priority", JobSpec{Priority: 10000}, false},
 		{"negative duration", JobSpec{DurationMS: -1}, false},
+		{"run within its warm-up", JobSpec{Policy: "all-on", Benchmark: "fft", DurationMS: 10, WarmupEpochs: 50}, false},
+		{"sweep within its warm-up", JobSpec{Kind: KindSweep, Policies: []string{"all-on"}, Benchmarks: []string{"fft"}, DurationMS: 10, WarmupEpochs: 50}, false},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()

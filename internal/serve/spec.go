@@ -97,8 +97,9 @@ func (s JobSpec) ID() string {
 const maxPriority = 100
 
 // Validate rejects malformed specs at the API boundary, before anything
-// is queued: unknown kinds, unparseable policy/benchmark/fault names, and
-// out-of-range knobs all fail fast with a client-attributable error.
+// is queued: unknown kinds, unparseable policy/benchmark/fault names,
+// out-of-range knobs and configurations the engine would reject all fail
+// fast with a client-attributable error.
 func (s JobSpec) Validate() error {
 	c := s.canonical()
 	if s.Priority > maxPriority || s.Priority < -maxPriority {
@@ -120,28 +121,32 @@ func (s JobSpec) Validate() error {
 		if len(s.Policies) > 0 || len(s.Benchmarks) > 0 {
 			return fmt.Errorf("serve: sim job must not set policies/benchmarks lists")
 		}
-		if _, err := core.ParsePolicy(c.policyName()); err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-		if _, err := workload.ByName(c.benchmarkName()); err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
+		return c.validateConfig()
 	case KindSweep:
 		if len(c.Policies) == 0 || len(c.Benchmarks) == 0 {
 			return fmt.Errorf("serve: sweep job needs non-empty policies and benchmarks lists")
 		}
-		for _, p := range c.Policies {
-			if _, err := core.ParsePolicy(p); err != nil {
-				return fmt.Errorf("serve: %w", err)
+		for _, kid := range c.children() {
+			if err := kid.validateConfig(); err != nil {
+				return err
 			}
 		}
-		for _, b := range c.Benchmarks {
-			if _, err := workload.ByName(b); err != nil {
-				return fmt.Errorf("serve: %w", err)
-			}
-		}
+		return nil
 	default:
 		return fmt.Errorf("serve: unknown job kind %q", s.Kind)
+	}
+}
+
+// validateConfig checks the engine configuration a sim spec resolves to,
+// so a spec the engine would reject — such as a run no longer than its
+// warm-up — is refused at admission instead of queued to fail.
+func (s JobSpec) validateConfig() error {
+	cfg, err := s.simConfig()
+	if err == nil {
+		err = cfg.Validate()
+	}
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	return nil
 }

@@ -843,9 +843,9 @@ func (s *Supervisor) jobSettled(j *Job) {
 
 // aggregateSweep assembles a sweep parent's result once every child is
 // terminal: each cell exactly once, in grid order, with failed cells
-// carrying their child's failure text (the service-side KeepGoing
-// contract — partial sweeps complete, failures are reported, nothing is
-// double-counted).
+// carrying their child's failure text (the service-side counterpart of
+// experiments.Sweep.Failures — partial sweeps complete, failures are
+// reported, nothing is double-counted).
 func (s *Supervisor) aggregateSweep(p *Job) {
 	p.mu.Lock()
 	sw := &SweepResult{}

@@ -151,6 +151,14 @@ func (c Config) Validate() error {
 	if c.DurationMS < 0 || c.WarmupEpochs < 0 || c.ProfilingEpochs < 0 {
 		return errors.New("sim: negative duration/warmup/profiling")
 	}
+	// A run with no epoch past the warm-up measures nothing; reject it
+	// before θ-profiling and the epoch loop are spent on it.
+	if n := c.epochs(); n <= c.WarmupEpochs {
+		return fmt.Errorf("sim: run of %d epochs is no longer than its %d-epoch warm-up", n, c.WarmupEpochs)
+	}
+	if c.TrackVR < -1 || c.TrackVR >= floorplan.TotalVRs {
+		return fmt.Errorf("sim: tracked regulator %d outside [-1, %d)", c.TrackVR, floorplan.TotalVRs)
+	}
 	if !(c.SensorNoiseC >= 0) || math.IsInf(c.SensorNoiseC, 1) {
 		return errors.New("sim: sensor noise must be non-negative and finite")
 	}
@@ -193,6 +201,15 @@ func (c Config) durationMS() int {
 		return max
 	}
 	return c.Benchmark.DurationMS
+}
+
+// epochs returns the number of epochs a fresh run steps through.
+func (c Config) epochs() int {
+	n := int(float64(c.durationMS()) / c.EpochMS)
+	if n < 1 {
+		n = 1
+	}
+	return n
 }
 
 // benchmarkLabel names the run for reporting. It runs at run setup and

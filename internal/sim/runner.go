@@ -719,14 +719,10 @@ func (r *Runner) beginRun() error {
 	r.runMS = ms
 	res := ms.Res
 
-	totalEpochs := r.cfg.durationMS()
-	if totalEpochs < 1 {
+	if r.cfg.durationMS() < 1 {
 		return errors.New("sim: empty run")
 	}
-	nEpochs := int(float64(totalEpochs) / r.cfg.EpochMS)
-	if nEpochs < 1 {
-		nEpochs = 1
-	}
+	nEpochs := r.cfg.epochs()
 	r.runNEpochs = nEpochs
 	// The paper's VoltSpot methodology: 200 equally distant noise samples
 	// across the measured run.

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"thermogater/internal/core"
 	"thermogater/internal/fault"
+	"thermogater/internal/floorplan"
 	"thermogater/internal/pdn"
 	"thermogater/internal/workload"
 )
@@ -49,6 +51,12 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.SubstepMS = 0.3 }, // not a divisor of 1ms
 		func(c *Config) { c.DurationMS = -1 },
 		func(c *Config) { c.WarmupEpochs = -1 },
+		// No epoch past the warm-up: the run would measure nothing.
+		func(c *Config) { c.DurationMS = 10; c.WarmupEpochs = 50 },
+		func(c *Config) { c.DurationMS = c.WarmupEpochs },
+		func(c *Config) { c.DurationMS = 40; c.EpochMS = 2; c.WarmupEpochs = 20 },
+		func(c *Config) { c.TrackVR = -2 },
+		func(c *Config) { c.TrackVR = floorplan.TotalVRs },
 		func(c *Config) { c.Thermal.SinkResKPerW = 0 },
 		func(c *Config) { c.PDN.R0Ohm = 0 },
 		func(c *Config) { c.Governor.WMAWindow = 0 },
@@ -423,11 +431,7 @@ func TestRunShorterThanWarmupFails(t *testing.T) {
 	cfg := DefaultConfig(core.AllOn, p)
 	cfg.DurationMS = 10
 	cfg.WarmupEpochs = 50
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(); err == nil {
-		t.Error("run shorter than warm-up succeeded")
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "warm-up") {
+		t.Errorf("New accepted a run shorter than its warm-up (err %v)", err)
 	}
 }
