@@ -53,12 +53,14 @@ fmt-check:
 sanitize:
 	$(GO) test -tags tgsan ./...
 
-# Coverage-guided fuzzing with the sanitizer as the oracle. FUZZTIME is per
-# target (default 30s); verify uses a quick 3s pass.
+# Coverage-guided fuzzing with the sanitizer as the oracle, plus the
+# telemetry encoder against encoding/json. FUZZTIME is per target
+# (default 30s); verify uses a quick 3s pass.
 fuzz:
 	$(GO) test -tags tgsan -run '^$$' -fuzz FuzzThermalStep -fuzztime $(FUZZTIME) ./internal/thermal/
 	$(GO) test -tags tgsan -run '^$$' -fuzz FuzzPDNTransient -fuzztime $(FUZZTIME) ./internal/pdn/
 	$(GO) test -tags tgsan -run '^$$' -fuzz FuzzSimConfig -fuzztime $(FUZZTIME) ./internal/sim/
+	$(GO) test -tags tgsan -run '^$$' -fuzz FuzzJSONLEncoding -fuzztime $(FUZZTIME) ./internal/telemetry/
 
 # Chaos gate: every fault model under the sanitizer, kill-and-resume
 # byte-identity, degraded policy ladders, and the tolerant sweep paths

@@ -314,9 +314,9 @@ func checkBaselineFile(path string) error {
 	return nil
 }
 
-// runMallocs executes one full run without a telemetry registry (record
-// emission allocates by design and would mask the epoch loop's contract)
-// and returns the process-wide malloc and allocated-byte deltas across
+// runMallocs executes one full run without a telemetry registry (so the
+// figure is the epoch loop's own, not its sinks' output buffers) and
+// returns the process-wide malloc and allocated-byte deltas across
 // Run. Construction stays outside the measured window, but the paired
 // differencing in measureAllocsPerEpoch would cancel it anyway.
 func runMallocs(c benchCase, opt caseOpts) (mallocs, bytes uint64, err error) {

@@ -94,16 +94,16 @@ func runOne(cfg sim.Config) (*sim.Result, error) {
 	}
 	if cfg.Telemetry.Enabled() {
 		rec := telemetry.NewRecord("run").
-			Add("policy", res.Policy).
-			Add("benchmark", res.Benchmark).
-			Add("wall_ns", sp.Total().Nanoseconds()).
-			Add("epochs", res.Epochs).
-			Add("max_temp_c", res.MaxTempC).
-			Add("gradient_c", res.MaxGradientC).
-			Add("max_noise_pct", res.MaxNoisePct).
-			Add("avg_ploss_w", res.AvgPlossW).
-			Add("avg_eta", res.AvgEta).
-			Add("emergency_frac", res.EmergencyFrac)
+			Str("policy", res.Policy).
+			Str("benchmark", res.Benchmark).
+			Int("wall_ns", sp.Total().Nanoseconds()).
+			Int("epochs", int64(res.Epochs)).
+			Float("max_temp_c", res.MaxTempC).
+			Float("gradient_c", res.MaxGradientC).
+			Float("max_noise_pct", res.MaxNoisePct).
+			Float("avg_ploss_w", res.AvgPlossW).
+			Float("avg_eta", res.AvgEta).
+			Float("emergency_frac", res.EmergencyFrac)
 		if err := cfg.Telemetry.Emit(rec); err != nil {
 			return nil, fmt.Errorf("experiments: telemetry sink: %w", err)
 		}

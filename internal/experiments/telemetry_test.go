@@ -14,8 +14,9 @@ import (
 	"thermogater/internal/workload"
 )
 
-// lockedSink collects records; Emit is serialized by the registry, but the
-// mutex keeps the test honest if that contract ever changes.
+// lockedSink collects copies of the records (runners reuse theirs); Emit
+// is serialized by the registry, but the mutex keeps the test honest if
+// that contract ever changes.
 type lockedSink struct {
 	mu   sync.Mutex
 	recs []*telemetry.Record
@@ -23,7 +24,7 @@ type lockedSink struct {
 
 func (s *lockedSink) Emit(r *telemetry.Record) error {
 	s.mu.Lock()
-	s.recs = append(s.recs, r)
+	s.recs = append(s.recs, r.Clone())
 	s.mu.Unlock()
 	return nil
 }

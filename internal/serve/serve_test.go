@@ -319,23 +319,36 @@ func TestRetryBackoffAndFailureRecord(t *testing.T) {
 	if err := sup.Kill(j.ID); err != nil {
 		t.Fatal(err)
 	}
-	// Keep the crash re-armed so the retry panics at its first record too.
-	go func() {
-		for {
-			select {
-			case <-j.Done():
-				return
-			default:
-			}
-			j.mu.Lock()
-			if !terminal(j.state) {
-				j.crashArmed = true
-			}
-			j.mu.Unlock()
-			time.Sleep(time.Millisecond)
-		}
-	}()
+	// A second long job queued behind the first attempt takes the worker
+	// while the job backs off; a requeue gets a fresh sequence number, so
+	// the retry waits behind it. Re-arm the crash while the retry is
+	// queued, then free the worker: the retry panics at its first record
+	// too, however the scheduler interleaves the backoff timer.
+	blocker, _, err := sup.Submit(longSpec(198))
+	if err != nil {
+		t.Fatal(err)
+	}
 	release()
+	waitState(t, blocker, StateRunning)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		j.mu.Lock()
+		queued := j.state == StateQueued && j.attempts == 1
+		if queued {
+			j.crashArmed = true
+		}
+		j.mu.Unlock()
+		if queued {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("retry never queued: state %v", j.Snapshot().State)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := sup.Cancel(blocker.ID); err != nil {
+		t.Fatal(err)
+	}
 	waitState(t, j, StateFailed)
 	st := j.Snapshot()
 	if st.Failure == nil {

@@ -5,9 +5,11 @@ import "sync"
 // StreamBuf is a job's telemetry stream: an append-only byte buffer that
 // any number of readers can follow concurrently while one writer (the
 // job's current run attempt) appends. Readers poll by offset and park on
-// a wake channel that is closed-and-replaced on every append, so a slow
-// or stalled client never blocks the writer — backpressure is shed at the
-// HTTP layer (write deadlines), never propagated into the simulation.
+// a wake channel that the next append closes, so a slow or stalled client
+// never blocks the writer — backpressure is shed at the HTTP layer (write
+// deadlines), never propagated into the simulation. The channel is made
+// by the first reader that asks for it, so appends with no reader parked
+// allocate nothing beyond buffer growth.
 //
 // A crash recovery rewinds the stream to the last checkpoint boundary
 // (Truncate) and bumps the generation; a reader that parked across the
@@ -18,12 +20,12 @@ type StreamBuf struct {
 	buf    []byte
 	gen    int
 	closed bool
-	wake   chan struct{}
+	wake   chan struct{} // nil until a reader asks for it
 }
 
 // NewStreamBuf returns an empty open stream.
 func NewStreamBuf() *StreamBuf {
-	return &StreamBuf{wake: make(chan struct{})}
+	return &StreamBuf{}
 }
 
 // Write appends p; it implements io.Writer so a telemetry JSONL sink can
@@ -38,8 +40,10 @@ func (s *StreamBuf) Write(p []byte) (int, error) {
 
 // broadcast wakes every parked reader. Callers hold s.mu.
 func (s *StreamBuf) broadcast() {
-	close(s.wake)
-	s.wake = make(chan struct{})
+	if s.wake != nil {
+		close(s.wake)
+		s.wake = nil
+	}
 }
 
 // Truncate rewinds the stream to n bytes (the last checkpoint boundary)
@@ -107,6 +111,9 @@ func (s *StreamBuf) ReadFrom(off int) (data []byte, gen int, done bool, wake <-c
 	}
 	if off < len(s.buf) {
 		data = append([]byte(nil), s.buf[off:]...)
+	}
+	if s.wake == nil {
+		s.wake = make(chan struct{})
 	}
 	return data, s.gen, s.closed, s.wake
 }

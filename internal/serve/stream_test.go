@@ -92,3 +92,33 @@ func TestStreamBufTruncateGenPurity(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamBufWriteAllocatesNothing pins the writer side of the wake
+// protocol: an append with no reader parked allocates nothing beyond
+// buffer growth (the buffer here is pre-sized, so nothing at all), and a
+// parked reader is still woken by the next append.
+func TestStreamBufWriteAllocatesNothing(t *testing.T) {
+	line := []byte(`{"record":"epoch","epoch":0}` + "\n")
+	const runs = 100
+	s := NewStreamBuf()
+	s.buf = make([]byte, 0, 4*(runs+1)*len(line))
+	write := func() {
+		if _, err := s.Write(line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(runs, write); avg != 0 {
+		t.Fatalf("Write with no reader parked: %v allocations, want 0", avg)
+	}
+
+	_, _, _, wake := s.ReadFrom(s.Len())
+	write()
+	select {
+	case <-wake:
+	default:
+		t.Fatal("append did not wake the parked reader")
+	}
+	if avg := testing.AllocsPerRun(runs, write); avg != 0 {
+		t.Fatalf("Write after the reader was woken: %v allocations, want 0", avg)
+	}
+}

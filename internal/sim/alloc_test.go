@@ -1,17 +1,20 @@
 package sim
 
 import (
+	"io"
 	"testing"
 
 	"thermogater/internal/core"
+	"thermogater/internal/telemetry"
 	"thermogater/internal/workload"
 )
 
 // allocGateConfig is the steady-state shape the zero-allocation contract
-// covers: no telemetry registry, no epoch trace, no VR tracking, no
-// faults and no checkpoint sink — the pure physics loop that dominates
-// sweep wall-clock. Everything the config leaves off allocates by
-// design and is not part of the contract.
+// covers: no epoch trace, no VR tracking, no faults and no checkpoint
+// sink — the physics loop that dominates sweep wall-clock — with or
+// without a telemetry registry streaming JSONL records, as tgserve's
+// jobs do. Everything the config leaves off allocates by design and is
+// not part of the contract.
 func allocGateConfig(t *testing.T, policy core.PolicyKind) Config {
 	t.Helper()
 	bench, err := workload.ByName("fft")
@@ -29,8 +32,16 @@ func allocGateConfig(t *testing.T, policy core.PolicyKind) Config {
 // slices and pass the worst-noise transient, then testing.AllocsPerRun
 // over single epochs. The simulation is deterministic per seed, so the
 // measured window is reproducible — this is a hard gate, not a heuristic.
-func testStepEpochAllocs(t *testing.T, policy core.PolicyKind) {
-	r, err := New(allocGateConfig(t, policy))
+// With instrumented set, the run carries a registry and a JSONL sink to
+// io.Discard, so the span tree, the counters and the per-epoch record
+// encoding are all inside the measured window.
+func testStepEpochAllocs(t *testing.T, policy core.PolicyKind, instrumented bool) {
+	cfg := allocGateConfig(t, policy)
+	if instrumented {
+		cfg.Telemetry = telemetry.NewRegistry()
+		cfg.Telemetry.AddSink(telemetry.NewJSONLSink(io.Discard))
+	}
+	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +77,7 @@ func testStepEpochAllocs(t *testing.T, policy core.PolicyKind) {
 		e++
 	})
 	if avg != 0 {
-		t.Fatalf("%v: %v allocations per steady-state epoch, want 0", policy, avg)
+		t.Fatalf("%v (telemetry %v): %v allocations per steady-state epoch, want 0", policy, instrumented, avg)
 	}
 	if _, err := r.finishRun(); err != nil {
 		t.Fatal(err)
@@ -76,9 +87,10 @@ func testStepEpochAllocs(t *testing.T, policy core.PolicyKind) {
 // TestStepEpochZeroAllocs gates the epoch loop under every built-in
 // policy, so each governor branch is covered: off-chip and all-on (no
 // gating), naive, the oracle policies that solve the PDN per decision,
-// and the practical predictors.
+// and the practical predictors. The telemetry subtests repeat every
+// policy with the registry and a JSONL sink attached.
 func TestStepEpochZeroAllocs(t *testing.T) {
-	for _, tc := range []struct {
+	policies := []struct {
 		name   string
 		policy core.PolicyKind
 	}{
@@ -90,9 +102,17 @@ func TestStepEpochZeroAllocs(t *testing.T) {
 		{"oracV", core.OracV},
 		{"oracVT", core.OracVT},
 		{"pracT", core.PracT},
-	} {
+	}
+	for _, tc := range policies {
 		t.Run(tc.name, func(t *testing.T) {
-			testStepEpochAllocs(t, tc.policy)
+			testStepEpochAllocs(t, tc.policy, false)
 		})
 	}
+	t.Run("telemetry", func(t *testing.T) {
+		for _, tc := range policies {
+			t.Run(tc.name, func(t *testing.T) {
+				testStepEpochAllocs(t, tc.policy, true)
+			})
+		}
+	})
 }

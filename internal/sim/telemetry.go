@@ -19,6 +19,15 @@ import (
 //     (VoltSpot)
 var PhaseNames = []string{"uarch", "power", "governor", "vr", "thermal", "pdn"}
 
+// phaseKeys are the epoch record's per-phase keys, PhaseNames[i] + "_ns".
+var phaseKeys = func() []string {
+	keys := make([]string, len(PhaseNames))
+	for i, phase := range PhaseNames {
+		keys[i] = phase + "_ns"
+	}
+	return keys
+}()
+
 // instruments caches every telemetry handle the runner's hot loop touches,
 // so instrumentation costs one pointer dereference per use instead of a
 // map lookup. All handles are nil when telemetry is disabled; every method
@@ -50,6 +59,8 @@ type instruments struct {
 	prevPDNSteady    int64
 	prevPDNTrans     int64
 	prevMaskCache    pdn.CacheStats
+
+	rec telemetry.Record // the "epoch" record, refilled every epoch
 }
 
 // newInstruments registers the runner's metrics. Safe on a nil registry:
@@ -112,9 +123,9 @@ type epochStats struct {
 
 // observeEpoch folds one finished epoch span into the counters and streams
 // the "epoch" record. The span must already be ended so its totals cover
-// exactly this epoch. Record emission boxes and concatenates; it runs
-// only on instrumented runs, which trade allocation-freedom for
-// observability.
+// exactly this epoch. The record is the runner's one reused Record with
+// prebuilt keys and typed values, so an instrumented steady-state epoch
+// allocates nothing either (TestStepEpochZeroAllocs covers it).
 func (in *instruments) observeEpoch(r *Runner, ep *telemetry.Span, st epochStats) error {
 	if !in.enabled() {
 		return nil
@@ -142,28 +153,28 @@ func (in *instruments) observeEpoch(r *Runner, ep *telemetry.Span, st epochStats
 	in.overrides.Add(float64(st.overrides))
 	in.epochWallMS.Observe(float64(ep.Total().Nanoseconds()) / 1e6)
 
-	rec := telemetry.NewRecord("epoch").
-		Add("epoch", st.epoch).
-		Add("time_ms", st.timeMS).
-		Add("measuring", st.measuring).
-		Add("wall_ns", ep.Total().Nanoseconds())
-	for _, phase := range PhaseNames {
-		rec.Add(phase+"_ns", ep.Child(phase).Total().Nanoseconds())
+	rec := in.rec.Reset("epoch").
+		Int("epoch", int64(st.epoch)).
+		Float("time_ms", st.timeMS).
+		Bool("measuring", st.measuring).
+		Int("wall_ns", ep.Total().Nanoseconds())
+	for i, phase := range PhaseNames {
+		rec.Int(phaseKeys[i], ep.Child(phase).Total().Nanoseconds())
 	}
 	// The mask-cache tallies go to the pdn_mask_cache_total counters but
 	// deliberately NOT into this record: cache warmth is process state,
 	// not simulation state (a resumed run starts cold), and the record
 	// stream must be byte-identical across resume.
-	rec.Add("thermal_substeps", dThermal).
-		Add("pdn_steady_solves", dSteady).
-		Add("pdn_transient_solves", dTrans).
-		Add("active_vrs", st.activeVRs).
-		Add("chip_power_w", st.chipPowerW).
-		Add("ploss_w", st.plossW).
-		Add("max_temp_c", st.maxTempC).
-		Add("gradient_c", st.gradientC).
-		Add("max_noise_pct", st.noisePct).
-		Add("emergency_overrides", st.overrides)
+	rec.Int("thermal_substeps", dThermal).
+		Int("pdn_steady_solves", dSteady).
+		Int("pdn_transient_solves", dTrans).
+		Int("active_vrs", int64(st.activeVRs)).
+		Float("chip_power_w", st.chipPowerW).
+		Float("ploss_w", st.plossW).
+		Float("max_temp_c", st.maxTempC).
+		Float("gradient_c", st.gradientC).
+		Float("max_noise_pct", st.noisePct).
+		Int("emergency_overrides", int64(st.overrides))
 	return in.reg.Emit(rec)
 }
 

@@ -8,12 +8,13 @@ import (
 	"thermogater/internal/workload"
 )
 
-// captureSink keeps emitted records in memory for assertions.
+// captureSink keeps copies of the emitted records in memory for
+// assertions; the runner reuses one record per epoch.
 type captureSink struct {
 	recs []*telemetry.Record
 }
 
-func (c *captureSink) Emit(r *telemetry.Record) error { c.recs = append(c.recs, r); return nil }
+func (c *captureSink) Emit(r *telemetry.Record) error { c.recs = append(c.recs, r.Clone()); return nil }
 func (c *captureSink) Flush() error                   { return nil }
 
 func telemetryTestConfig(t *testing.T, policy core.PolicyKind) Config {
@@ -123,7 +124,7 @@ func TestRunnerCountersAndEpochRecords(t *testing.T) {
 		if rec.Name != "epoch" {
 			t.Fatalf("record %d named %q", i, rec.Name)
 		}
-		if v, ok := rec.Get("epoch"); !ok || v.(int) != i {
+		if v, ok := rec.Get("epoch"); !ok || v.(int64) != int64(i) {
 			t.Fatalf("record %d carries epoch %v", i, v)
 		}
 		for _, phase := range PhaseNames {

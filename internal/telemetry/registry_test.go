@@ -29,7 +29,7 @@ func TestNilRegistryIsFreeAndSafe(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || sp.Total() != 0 {
 		t.Fatal("nil metrics accumulated state")
 	}
-	if err := r.Emit(NewRecord("epoch").Add("k", 1)); err != nil {
+	if err := r.Emit(NewRecord("epoch").Int("k", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Close(); err != nil {

@@ -13,16 +13,22 @@ import (
 
 // Sink receives the registry's record stream. Implementations must tolerate
 // records of different names (epoch records interleaved with run records);
-// Emit is serialized by the registry.
+// Emit is serialized by the registry. The record belongs to the caller,
+// who reuses it for the next emission: a sink must not keep the *Record
+// (or its Fields slice) after Emit returns, and must Clone it if it needs
+// the record later.
 type Sink interface {
 	Emit(rec *Record) error
 	Flush() error
 }
 
 // JSONLSink streams each record as one JSON object per line, fields in
-// emission order: {"record":"epoch","epoch":0,...}.
+// emission order: {"record":"epoch","epoch":0,...}. Values are encoded
+// with strconv into one reused buffer, byte-identical to encoding/json
+// (see appendField), so a steady stream of emissions allocates nothing.
 type JSONLSink struct {
-	w *bufio.Writer
+	w   *bufio.Writer
+	buf []byte
 }
 
 // NewJSONLSink wraps w in a buffered JSON-lines sink.
@@ -33,28 +39,80 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 // Emit writes one record as a JSON line. bufio errors are sticky, so
 // checking the final write surfaces any failure in the sequence.
 func (s *JSONLSink) Emit(rec *Record) error {
-	s.w.WriteString(`{"record":`)
-	writeJSONValue(s.w, rec.Name)
+	b := append(s.buf[:0], `{"record":`...)
+	b = appendJSONString(b, rec.Name)
 	for _, f := range rec.Fields {
-		s.w.WriteByte(',')
-		writeJSONValue(s.w, f.Key)
-		s.w.WriteByte(':')
-		writeJSONValue(s.w, f.Value)
+		b = append(b, ',')
+		b = appendJSONString(b, f.Key)
+		b = append(b, ':')
+		b = appendField(b, f)
 	}
-	_, err := s.w.WriteString("}\n")
+	b = append(b, "}\n"...)
+	s.buf = b
+	_, err := s.w.Write(b)
 	return err
 }
 
 // Flush drains the buffer to the underlying writer.
 func (s *JSONLSink) Flush() error { return s.w.Flush() }
 
-func writeJSONValue(w *bufio.Writer, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		b, _ = json.Marshal(fmt.Sprint(v))
+// appendField appends f's value as json.Marshal renders it. NaN and ±Inf,
+// which JSON cannot represent, are written as the strings "NaN", "+Inf"
+// and "-Inf".
+func appendField(b []byte, f Field) []byte {
+	switch f.Kind {
+	case KindInt:
+		return strconv.AppendInt(b, f.Int(), 10)
+	case KindFloat:
+		return appendJSONFloat(b, f.Float())
+	case KindBool:
+		return strconv.AppendBool(b, f.Bool())
+	default:
+		return appendJSONString(b, f.Str())
 	}
-	//lint:ignore errsink bufio write errors are sticky; Emit checks the final write and Flush reports the rest
-	w.Write(b)
+}
+
+// appendJSONFloat is encoding/json's float64 encoder: the shortest 'f'
+// form, switching to 'e' for magnitudes below 1e-6 or from 1e21 up, with
+// a two-digit negative exponent shortened (e-07 → e-7).
+func appendJSONFloat(b []byte, x float64) []byte {
+	switch {
+	case math.IsNaN(x):
+		return append(b, `"NaN"`...)
+	case math.IsInf(x, 1):
+		return append(b, `"+Inf"`...)
+	case math.IsInf(x, -1):
+		return append(b, `"-Inf"`...)
+	}
+	format := byte('f')
+	//lint:ignore floatcheck exact zero test that only picks a display format, as encoding/json does
+	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, x, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendJSONString writes s quoted. Printable ASCII other than the
+// characters encoding/json escapes (" \ < > &) is copied as is; any other
+// string goes through json.Marshal, which owns the escaping rules for
+// control bytes, HTML characters and invalid or non-ASCII UTF-8.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // CSVSink streams records as CSV rows. The header is fixed by the first
@@ -100,14 +158,10 @@ func (s *CSVSink) Flush() error {
 }
 
 func csvCell(v any) string {
-	switch x := v.(type) {
-	case float64:
+	if x, ok := v.(float64); ok {
 		return strconv.FormatFloat(x, 'g', -1, 64)
-	case float32:
-		return strconv.FormatFloat(float64(x), 'g', -1, 32)
-	default:
-		return fmt.Sprint(v)
 	}
+	return fmt.Sprint(v)
 }
 
 // WriteSnapshotJSONL exports a full snapshot as one JSON line, suitable for

@@ -14,7 +14,7 @@ type Span struct {
 	name     string
 	parent   *Span
 	children []*Span
-	start    time.Time
+	start    time.Duration // registry clock reading at the latest start
 	running  bool
 	total    time.Duration
 	count    int
@@ -36,7 +36,7 @@ func (r *Registry) StartSpan(name string) *Span {
 	if r == nil {
 		return nil
 	}
-	return &Span{reg: r, name: name, start: r.now(), running: true}
+	return &Span{reg: r, name: name, start: r.elapsed(), running: true}
 }
 
 // StartChild finds (or creates) the child span with the given name and
@@ -48,13 +48,13 @@ func (s *Span) StartChild(name string) *Span {
 	for _, c := range s.children {
 		if c.name == name {
 			if !c.running {
-				c.start = s.reg.now()
+				c.start = s.reg.elapsed()
 				c.running = true
 			}
 			return c
 		}
 	}
-	c := &Span{reg: s.reg, name: name, parent: s, start: s.reg.now(), running: true}
+	c := &Span{reg: s.reg, name: name, parent: s, start: s.reg.elapsed(), running: true}
 	s.children = append(s.children, c)
 	return c
 }
@@ -68,7 +68,7 @@ func (s *Span) End() {
 		return
 	}
 	s.running = false
-	s.total += s.reg.now().Sub(s.start)
+	s.total += s.reg.elapsed() - s.start
 	s.count++
 	if s.parent == nil {
 		s.reg.mergeRoot(s)
@@ -87,7 +87,7 @@ func (s *Span) Restart() {
 		return
 	}
 	s.resetTree()
-	s.start = s.reg.now()
+	s.start = s.reg.elapsed()
 	s.running = true
 }
 

@@ -8,8 +8,9 @@
 // safe on a nil *Registry (and on the nil *Counter/*Gauge/*Histogram/*Span
 // values a nil registry hands out), so instrumented code can call through
 // unconditionally and pays only a nil check per call site. Enabled, the hot
-// paths are lock-free (atomics) for counters and gauges, and spans perform
-// no allocation after their first Start/End cycle per name.
+// paths are lock-free (atomics) for counters and gauges, spans perform no
+// allocation after their first Start/End cycle per name, and a reused
+// typed Record streams through JSONLSink without allocating.
 package telemetry
 
 import (
@@ -169,7 +170,11 @@ type Registry struct {
 	sinkMu sync.Mutex
 	sinks  []Sink
 
-	now func() time.Time
+	// Spans read the clock as an offset from base: time.Since(base) on
+	// the wall clock, whose monotonic reading is cheaper than time.Now,
+	// or clock().Sub(base) once SetClock installs a replacement.
+	base  time.Time
+	clock func() time.Time
 }
 
 type metricMeta struct {
@@ -184,7 +189,7 @@ func NewRegistry() *Registry {
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		meta:     make(map[string]metricMeta),
-		now:      time.Now,
+		base:     time.Now(),
 	}
 }
 
@@ -192,12 +197,22 @@ func NewRegistry() *Registry {
 func (r *Registry) Enabled() bool { return r != nil }
 
 // SetClock replaces the time source (tests use a fake clock for
-// deterministic span durations). Not safe to call concurrently with use.
+// deterministic span durations). It reads now once, as the base spans
+// measure from. Not safe to call concurrently with use.
 func (r *Registry) SetClock(now func() time.Time) {
 	if r == nil || now == nil {
 		return
 	}
-	r.now = now
+	r.clock = now
+	r.base = now()
+}
+
+// elapsed is the span clock: the time since the registry's base.
+func (r *Registry) elapsed() time.Duration {
+	if r.clock != nil {
+		return r.clock().Sub(r.base)
+	}
+	return time.Since(r.base)
 }
 
 func (r *Registry) remember(key, name string, labels []Label) {
