@@ -69,7 +69,7 @@ fuzz:
 chaos:
 	$(GO) test -tags tgsan -run 'TestFaultMatrix|TestCheckpoint|TestDegraded|TestSweepKeepGoing|TestSweepRecoversPanic|TestSweepAllCellsFailed|TestWatchdog' ./internal/sim/ ./internal/experiments/ ./internal/thermal/
 
-# Service chaos gate: kill workers mid-job, preempt, drain/restart, abuse
+# Service chaos gate: panic jobs mid-stream, preempt, drain/restart, abuse
 # the streaming path, then verify no job was lost, duplicated, or made
 # non-deterministic (see docs/SERVICE.md). A local entry point: `make
 # race` and `make test` run these tests too.

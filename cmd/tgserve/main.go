@@ -2,8 +2,7 @@
 // server where clients submit sim/sweep jobs, stream telemetry and fetch
 // results, supervised by the robustness layer documented in
 // docs/SERVICE.md (bounded prioritized queue with load shedding, panic
-// recovery, capped retries, checkpoint-backed preemption, graceful drain
-// on SIGTERM).
+// containment, checkpoint-backed preemption, graceful drain on SIGTERM).
 //
 // Serve:
 //
@@ -32,10 +31,7 @@ func main() {
 		addr         = flag.String("addr", "localhost:8080", "listen address")
 		workers      = flag.Int("workers", 2, "worker goroutines")
 		queueLimit   = flag.Int("queue", 256, "queue capacity before load shedding")
-		maxAttempts  = flag.Int("max-attempts", 3, "attempts per job before it fails")
-		backoff      = flag.Duration("backoff", 100*time.Millisecond, "first retry backoff (doubles per attempt)")
 		preemptAfter = flag.Duration("preempt-after", 0, "park running jobs after this long when work is queued (0 = off)")
-		ckptEvery    = flag.Int("checkpoint-every", 200, "crash-snapshot period in epochs")
 		spool        = flag.String("spool", "", "directory for drain/restart job spooling (empty = off)")
 		resultTTL    = flag.Duration("result-ttl", 15*time.Minute, "evict finished jobs (results + streams) this long after they settle (negative = keep forever)")
 		frozenClock  = flag.Bool("frozen-clock", false, "pin telemetry clocks to the Unix epoch (byte-deterministic streams; chaos-suite mode)")
@@ -45,15 +41,12 @@ func main() {
 	if err := runServe(serveOptions{
 		addr: *addr,
 		cfg: serve.Config{
-			Workers:         *workers,
-			QueueLimit:      *queueLimit,
-			MaxAttempts:     *maxAttempts,
-			RetryBackoff:    *backoff,
-			PreemptAfter:    *preemptAfter,
-			CheckpointEvery: *ckptEvery,
-			SpoolDir:        *spool,
-			ResultTTL:       *resultTTL,
-			FrozenClock:     *frozenClock,
+			Workers:      *workers,
+			QueueLimit:   *queueLimit,
+			PreemptAfter: *preemptAfter,
+			SpoolDir:     *spool,
+			ResultTTL:    *resultTTL,
+			FrozenClock:  *frozenClock,
 		},
 	}); err != nil {
 		fatal(err)

@@ -59,7 +59,6 @@ func startServe(t *testing.T, bin, addr, spool string) *serveProc {
 		"-workers", "1",
 		"-spool", spool,
 		"-frozen-clock",
-		"-checkpoint-every", "10",
 	)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr

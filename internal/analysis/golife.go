@@ -14,9 +14,9 @@ package analysis
 //      result bound and either stopped by defer, stopped on every path
 //      (the cacheflush post-dominance machinery), or handed off (passed
 //      to a call, stored in a field/map, returned, sent). A timer
-//      registered in a map — the supervisor's crash-retry set — must be
-//      deleted from that map inside its own AfterFunc callback, or
-//      fired timers accumulate forever (the PR 9 leak).
+//      registered in a map must be deleted from that map inside its own
+//      AfterFunc callback, or fired timers accumulate forever. No timer
+//      set exists in the service today; the golife fixture pins the rule.
 //
 //   3. Settle obligations (Tgsync.Settle, scoped to Tgsync.Packages): a
 //      call to a terminal-transition trigger (finish/finishLocked) in a

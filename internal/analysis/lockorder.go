@@ -15,8 +15,9 @@ package analysis
 // every admission path took Supervisor.mu before Job.mu, while requeue
 // re-entered Supervisor.mu (through the sequence allocator) with Job.mu
 // held. The documented handoff pattern — a callee releasing the
-// caller's lock before taking another (classifyFailure) — is modeled by
-// the summaries' must-released sets and does not produce edges.
+// caller's lock before taking another — is modeled by the summaries'
+// must-released sets and does not produce edges. No site in the service
+// uses it today; the lockorder and unlockpath fixtures pin it.
 //
 // Exemptions: //sync:ordered <reason> on an acquisition or call site
 // drops its edges (hierarchical same-class nesting such as sweep

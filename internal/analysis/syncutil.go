@@ -291,9 +291,9 @@ type heldInfo struct {
 //   - released is a MUST set (intersection at joins): foreign locks —
 //     locks this unit never acquired itself — that an explicit Unlock
 //     has released on every path. It models the documented handoff
-//     pattern "callee releases the caller's lock before taking another"
-//     (serve.classifyFailure), which would otherwise complete a
-//     spurious ABBA cycle through the callee summary.
+//     pattern "callee releases the caller's lock before taking another",
+//     which would otherwise complete a spurious ABBA cycle through the
+//     callee summary.
 //
 //   - dead marks a state below a return: joins ignore it, so a branch
 //     that unlocks and returns does not pollute the fallthrough state.

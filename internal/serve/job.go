@@ -11,8 +11,8 @@ import (
 // JobState is one node of the lifecycle documented in docs/SERVICE.md:
 //
 //	queued → running → done
-//	            ├────→ parked ─→ queued   (preemption, drain, crash retry)
-//	            ├────→ failed             (attempts/budget exhausted, permanent error)
+//	            ├────→ parked ─→ queued   (preemption, drain)
+//	            ├────→ failed             (error or panic; never retried)
 //	            └────→ canceled           (client cancel)
 type JobState string
 
@@ -25,19 +25,14 @@ const (
 	StateCanceled JobState = "canceled"
 )
 
-// Failure is the durable record a failed attempt leaves behind. Panics
-// are recovered into it — a crashing simulation takes down its job's
-// attempt, never its worker.
+// Failure is the durable record a failed job leaves behind. Panics are
+// recovered into it — a crashing simulation takes down its job, never its
+// worker.
 type Failure struct {
-	// Error is the final attempt's error text.
+	// Error is the run's error text.
 	Error string `json:"error"`
-	// Attempts is how many attempts were spent in total.
-	Attempts int `json:"attempts"`
 	// Panicked marks failures recovered from a panic.
 	Panicked bool `json:"panicked,omitempty"`
-	// BackoffMS is the total retry backoff the job consumed (the retry
-	// budget accounting).
-	BackoffMS int64 `json:"backoff_ms,omitempty"`
 }
 
 // SweepCell is one (benchmark, policy) cell of a sweep job's aggregate.
@@ -70,21 +65,18 @@ type Job struct {
 	mu        sync.Mutex
 	state     JobState
 	settledAt time.Time // when the job reached its terminal state (result-TTL eviction)
-	attempts  int
 	failure   *Failure
 	result    *sim.Result
 	sweep     *SweepResult
-	epoch     int // last checkpointed epoch, -1 before the first
+	epoch     int // epoch of the last park, -1 before the first
 	worker    int // worker running (or last to run) the job
-	backoff   time.Duration
 	stream    *StreamBuf
 
-	// ckpt holds the latest framed checkpoint (periodic crash snapshot,
-	// or the one captured by checkpoint-on-cancel at park time) and the
-	// stream length at its boundary — together they are the exact resume
-	// point: restore ckpt, truncate stream to ckptLen, run.
-	ckpt    []byte
-	ckptLen int
+	// ckpt is the framed checkpoint captured when the job last parked.
+	// The stream is append-only and ends exactly at that checkpoint's
+	// boundary while the job is parked or queued, so the pair is the
+	// exact resume point: restore ckpt and keep appending.
+	ckpt []byte
 
 	// cancel tears down the current run attempt with a cause; non-nil
 	// only while running.
@@ -92,9 +84,6 @@ type Job struct {
 	// startedAt is when the current attempt started (elastic preemption
 	// ages running jobs with it).
 	startedAt time.Time
-	// crashArmed makes the next telemetry record panic the attempt — the
-	// chaos suite's deterministic stand-in for a worker dying mid-job.
-	crashArmed bool
 
 	// Sweep linkage: parent aggregates its children; a child may have
 	// several parents when dedup shares it.
@@ -163,9 +152,8 @@ type Status struct {
 	Kind     string   `json:"kind"`
 	State    JobState `json:"state"`
 	Priority int      `json:"priority"`
-	Attempts int      `json:"attempts"`
-	// Epoch is the last checkpointed epoch (-1 until one lands): coarse
-	// progress for long jobs.
+	// Epoch is the epoch the job last parked at (-1 until it parks); it
+	// moves only at a park. StreamLen is the progress measure.
 	Epoch     int      `json:"epoch"`
 	StreamLen int      `json:"stream_len"`
 	Failure   *Failure `json:"failure,omitempty"`
@@ -182,7 +170,6 @@ func (j *Job) Snapshot() Status {
 		Kind:      j.Spec.canonical().Kind,
 		State:     j.state,
 		Priority:  j.Spec.Priority,
-		Attempts:  j.attempts,
 		Epoch:     j.epoch,
 		StreamLen: j.stream.Len(),
 		Failure:   j.failure,

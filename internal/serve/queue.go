@@ -42,8 +42,8 @@ func newQueue(limit int) *queue {
 
 // Push enqueues a job, shedding with ErrQueueFull at capacity. force
 // bypasses the capacity check — used only for re-admitting jobs the
-// service already accepted (preemption and crash-retry requeues), so
-// intake stays bounded while admitted work can always come back.
+// service already accepted (preemption requeues, spooled jobs), so intake
+// stays bounded while admitted work can always come back.
 func (q *queue) Push(j *Job, force bool) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 )
@@ -149,22 +148,5 @@ func TestQueueCloseReturnsBacklog(t *testing.T) {
 	stop := make(chan struct{})
 	if j := q.Pop(stop); j != nil {
 		t.Fatalf("pop after close returned %v, want nil", j)
-	}
-}
-
-func TestJitterDeterministicAndBounded(t *testing.T) {
-	base := 100 * time.Millisecond
-	for attempt := 1; attempt <= 5; attempt++ {
-		id := fmt.Sprintf("job-%d", attempt)
-		a := jitter(id, attempt, base)
-		b := jitter(id, attempt, base)
-		if a != b {
-			t.Fatalf("jitter not deterministic: %v vs %v", a, b)
-		}
-		lo := time.Duration(float64(base) * 0.75)
-		hi := time.Duration(float64(base) * 1.25)
-		if a < lo || a >= hi {
-			t.Fatalf("jitter %v outside [%v, %v)", a, lo, hi)
-		}
 	}
 }

@@ -303,71 +303,58 @@ func TestLoadSheddingWith429(t *testing.T) {
 	}
 }
 
-func TestRetryBackoffAndFailureRecord(t *testing.T) {
+// TestPanicFailsJobWorkerSurvives: a job that panics mid-stream fails
+// at once with the panic recorded, and the worker it ran on completes the
+// next job byte-identically.
+func TestPanicFailsJobWorkerSurvives(t *testing.T) {
 	sup := newTestSupervisor(t, Config{
-		Workers:      1,
-		MaxAttempts:  2,
-		RetryBackoff: 5 * time.Millisecond,
+		Workers:     1,
+		FrozenClock: true,
+		panicOn: func(j *Job) bool {
+			return j.Spec.Seed == 200 && j.Stream().Len() > 0
+		},
 	})
-	// Arm the first attempt before it can start: the job waits in the
-	// queue behind an occupied worker until release.
-	release := occupyWorker(t, sup, 199)
-	j, _, err := sup.Submit(smallSpec(200))
+	doomed, _, err := sup.Submit(smallSpec(200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sup.Kill(j.ID); err != nil {
-		t.Fatal(err)
-	}
-	// A second long job queued behind the first attempt takes the worker
-	// while the job backs off; a requeue gets a fresh sequence number, so
-	// the retry waits behind it. Re-arm the crash while the retry is
-	// queued, then free the worker: the retry panics at its first record
-	// too, however the scheduler interleaves the backoff timer.
-	blocker, _, err := sup.Submit(longSpec(198))
-	if err != nil {
-		t.Fatal(err)
-	}
-	release()
-	waitState(t, blocker, StateRunning)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		j.mu.Lock()
-		queued := j.state == StateQueued && j.attempts == 1
-		if queued {
-			j.crashArmed = true
-		}
-		j.mu.Unlock()
-		if queued {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("retry never queued: state %v", j.Snapshot().State)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := sup.Cancel(blocker.ID); err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, j, StateFailed)
-	st := j.Snapshot()
+	waitState(t, doomed, StateFailed)
+	st := doomed.Snapshot()
 	if st.Failure == nil {
 		t.Fatal("failed job carries no failure record")
 	}
 	if !st.Failure.Panicked {
 		t.Error("panic not recorded in the failure")
 	}
-	if st.Failure.Attempts != 2 {
-		t.Errorf("failure records %d attempts, want 2", st.Failure.Attempts)
+	if !strings.Contains(st.Failure.Error, "panicked") || !strings.Contains(st.Failure.Error, "test panic mid-stream") {
+		t.Errorf("failure text %q does not carry the panic", st.Failure.Error)
 	}
-	if st.Failure.BackoffMS <= 0 {
-		t.Errorf("no backoff budget recorded: %d ms", st.Failure.BackoffMS)
+	if st.StreamLen == 0 {
+		t.Error("the panic fired before the first record, not mid-stream")
 	}
-	if !strings.Contains(st.Failure.Error, "panicked") {
-		t.Errorf("failure text %q does not mention the panic", st.Failure.Error)
+	if got := sup.Stats().Crashes; got != 1 {
+		t.Errorf("crash counter = %d, want 1", got)
 	}
-	if sup.Stats().Crashes < 2 {
-		t.Errorf("crash counter = %d, want >= 2", sup.Stats().Crashes)
+
+	next, _, err := sup.Submit(smallSpec(201))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, next, StateDone)
+	if got, want := next.Stream().Bytes(), referenceStream(t, smallSpec(201)); !bytes.Equal(got, want) {
+		t.Fatalf("the job after the panic streamed %d bytes, the reference is %d", len(got), len(want))
+	}
+	doomed.mu.Lock()
+	w0 := doomed.worker
+	doomed.mu.Unlock()
+	next.mu.Lock()
+	w1 := next.worker
+	next.mu.Unlock()
+	if w0 != w1 {
+		t.Errorf("the next job ran on worker %d, the panicked one on %d", w1, w0)
+	}
+	if st := sup.Stats(); st.Failed != 1 || st.Completed != 1 {
+		t.Errorf("stats %+v, want 1 failed and 1 completed", st)
 	}
 }
 
@@ -449,7 +436,7 @@ func TestDrainSpoolsAndRestartResumes(t *testing.T) {
 	queuedSpec := smallSpec(501)
 	want := referenceStream(t, spec)
 
-	sup, err := NewSupervisor(Config{Workers: 1, SpoolDir: spool, FrozenClock: true, CheckpointEvery: 50})
+	sup, err := NewSupervisor(Config{Workers: 1, SpoolDir: spool, FrozenClock: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +466,7 @@ func TestDrainSpoolsAndRestartResumes(t *testing.T) {
 	}
 
 	// Restart: a fresh supervisor over the same spool resumes both jobs.
-	sup2 := newTestSupervisor(t, Config{Workers: 1, SpoolDir: spool, FrozenClock: true, CheckpointEvery: 50})
+	sup2 := newTestSupervisor(t, Config{Workers: 1, SpoolDir: spool, FrozenClock: true})
 	j2, err := sup2.Get(j.ID)
 	if err != nil {
 		t.Fatalf("resumed job missing after restart: %v", err)
@@ -497,6 +484,64 @@ func TestDrainSpoolsAndRestartResumes(t *testing.T) {
 	// Settled jobs clean their spool entries up.
 	if _, err := os.Stat(filepath.Join(spool, j.ID+".job")); !os.IsNotExist(err) {
 		t.Errorf("settled job's spool entry still present (err=%v)", err)
+	}
+}
+
+// TestSpoolCorruptCheckpointRunsFresh: a spooled job whose checkpoint
+// was damaged on disk drops the checkpoint and its stream prefix when it
+// is re-admitted, runs from scratch, and still finishes with the stream
+// of an uninterrupted run.
+func TestSpoolCorruptCheckpointRunsFresh(t *testing.T) {
+	spool := t.TempDir()
+	spec := JobSpec{Policy: "all-on", Benchmark: "fft", Seed: 510, DurationMS: 400, WarmupEpochs: 2}
+	want := referenceStream(t, spec)
+
+	sup, err := NewSupervisor(Config{Workers: 1, SpoolDir: spool, FrozenClock: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := sup.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStreamLen(t, j, 2000)
+	if err := sup.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if j.State() == StateDone {
+		t.Skip("job finished before the drain landed; nothing to corrupt")
+	}
+	path := filepath.Join(spool, j.ID+".job")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e spoolEntry
+	if err := json.Unmarshal(b, &e); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.Ckpt) == 0 || len(e.Stream) == 0 {
+		t.Fatalf("spooled a mid-run job without its resume point (ckpt %d bytes, stream %d bytes)", len(e.Ckpt), len(e.Stream))
+	}
+	e.Ckpt[len(e.Ckpt)/2] ^= 0x01
+	if b, err = json.Marshal(e); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sup2 := newTestSupervisor(t, Config{Workers: 1, SpoolDir: spool, FrozenClock: true})
+	j2, err := sup2.Get(j.ID)
+	if err != nil {
+		t.Fatalf("job with a corrupt checkpoint not re-admitted: %v", err)
+	}
+	waitState(t, j2, StateDone)
+	if got := j2.Stream().Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("fresh rerun stream (%d bytes) differs from the uninterrupted reference (%d bytes)", len(got), len(want))
+	}
+	if ep := j2.Snapshot().Epoch; ep != -1 {
+		t.Errorf("job resumed from epoch %d, want a fresh run", ep)
 	}
 }
 

@@ -30,7 +30,6 @@ var streamWriteTimeout = 10 * time.Second
 //	GET    /jobs/{id}/stream   chunked JSONL telemetry (+heartbeats), ?from=N resumes at a byte offset
 //	DELETE /jobs/{id}          cancel
 //	POST   /jobs/{id}/preempt  park a running job now (chaos/admin)
-//	POST   /jobs/{id}/kill     arm a deterministic mid-job crash (chaos)
 //	GET    /stats              operational counters
 //	GET    /healthz            liveness (503 while draining)
 type Server struct {
@@ -47,7 +46,6 @@ func NewServer(sup *Supervisor) *Server {
 	s.mux.HandleFunc("GET /jobs/{id}/stream", s.handleStream)
 	s.mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
 	s.mux.HandleFunc("POST /jobs/{id}/preempt", s.handlePreempt)
-	s.mux.HandleFunc("POST /jobs/{id}/kill", s.handleKill)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	return s
@@ -167,14 +165,6 @@ func (s *Server) handlePreempt(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "preempting"})
 }
 
-func (s *Server) handleKill(w http.ResponseWriter, r *http.Request) {
-	if err := s.sup.Kill(r.PathValue("id")); err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "armed"})
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.sup.Stats())
 }
@@ -192,12 +182,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // is written only to the live HTTP stream, never into the job's stored
 // stream, so stored streams stay byte-deterministic.
 var heartbeatLine = []byte(`{"record":"heartbeat"}` + "\n")
-
-// rewindLine warns a live reader that the stream was rewound behind it
-// (crash recovery): its tail may contain records the final stream will
-// not. The client should re-fetch from its last checkpoint boundary (or
-// 0).
-var rewindLine = []byte(`{"record":"stream-rewind"}` + "\n")
 
 // handleStream serves the job's telemetry as chunked JSONL from a byte
 // offset, following the stream live until the job settles. Slow or dead
@@ -231,19 +215,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	stream := j.Stream()
-	gen := stream.Gen()
 	heartbeat := time.NewTimer(heartbeatInterval)
 	defer heartbeat.Stop()
 	for {
-		data, g, done, wake := stream.ReadFrom(off)
-		if g != gen {
-			// The stream was rewound behind this reader (crash
-			// recovery). Tell the client and stop; its next request
-			// re-reads the canonical bytes.
-			//lint:ignore errsink the connection is being abandoned either way
-			write(rewindLine)
-			return
-		}
+		data, done, wake := stream.ReadFrom(off)
 		if len(data) > 0 {
 			if !write(data) {
 				return

@@ -3,10 +3,9 @@
 // job ID back, stream the run's telemetry as chunked JSONL, and fetch the
 // result. The robustness layer is the point of the package — a bounded
 // prioritized queue with load shedding, supervised workers that recover
-// panics into job-failure records, capped exponential-backoff retries,
-// checkpoint-backed preemption and crash recovery, and graceful drain on
-// SIGTERM — see docs/SERVICE.md for the full lifecycle and the chaos
-// suite that exercises it.
+// panics into job-failure records, checkpoint-backed preemption, and
+// graceful drain on SIGTERM — see docs/SERVICE.md for the full lifecycle
+// and the chaos suite that exercises it.
 package serve
 
 import (
@@ -167,7 +166,7 @@ func (s JobSpec) benchmarkName() string {
 
 // children expands a sweep spec into its child sim specs, in grid order
 // (benchmarks outer, policies inner). Each child is an ordinary sim job —
-// it goes through the same queue, dedup and retry machinery as a directly
+// it goes through the same queue and dedup machinery as a directly
 // submitted one.
 func (s JobSpec) children() []JobSpec {
 	c := s.canonical()

@@ -1,25 +1,29 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+
+	"thermogater/internal/sim"
 )
 
 // spoolSchema tags spool entries; loadSpool skips anything else.
 const spoolSchema = "thermogater/serve-spool/v1"
 
 // spoolEntry is the on-disk form of an unfinished job: its identity
-// (spec), its retry accounting, and its exact resume point — the framed
-// checkpoint plus the stream prefix that belongs to it. A restarted
-// service re-admits the job and continues byte-identically.
+// (spec) and its exact resume point — the framed checkpoint plus the
+// stream prefix that belongs to it. A restarted service re-admits the job
+// and continues byte-identically. Entries written by older builds carry
+// an "attempts" key, which decoding ignores.
 type spoolEntry struct {
-	Schema   string  `json:"schema"`
-	Spec     JobSpec `json:"spec"`
-	Attempts int     `json:"attempts"`
-	Epoch    int     `json:"epoch"`
+	Schema string  `json:"schema"`
+	Spec   JobSpec `json:"spec"`
+	Epoch  int     `json:"epoch"`
 	// Stream is the job's telemetry stream up to the checkpoint
 	// boundary (base64 via encoding/json's []byte rule).
 	Stream []byte `json:"stream,omitempty"`
@@ -42,17 +46,13 @@ func (s *Supervisor) writeSpool(j *Job) error {
 	}
 	j.mu.Lock()
 	e := spoolEntry{
-		Schema:   spoolSchema,
-		Spec:     j.Spec,
-		Attempts: j.attempts,
-		Epoch:    j.epoch,
-		Ckpt:     j.ckpt,
+		Schema: spoolSchema,
+		Spec:   j.Spec,
+		Epoch:  j.epoch,
+		Ckpt:   j.ckpt,
 	}
-	if j.ckptLen > 0 {
+	if j.ckpt != nil {
 		e.Stream = j.stream.Bytes()
-		if len(e.Stream) > j.ckptLen {
-			e.Stream = e.Stream[:j.ckptLen]
-		}
 	}
 	j.mu.Unlock()
 	b, err := json.Marshal(e)
@@ -126,28 +126,29 @@ func (s *Supervisor) loadSpool() error {
 }
 
 // admitSpooled recreates one sim job from its spool entry and queues it.
+// A corrupt checkpoint is caught here, before any reader can see the
+// stream prefix: the job drops both and runs fresh, since a damaged
+// resume point costs the progress, not the job. Any other checkpoint
+// error fails the job when it runs.
 func (s *Supervisor) admitSpooled(e spoolEntry) error {
 	if err := e.Spec.Validate(); err != nil {
 		return err
 	}
-	id := e.Spec.ID()
+	j := newJob(e.Spec, 0)
+	if len(e.Ckpt) > 0 {
+		if _, err := sim.ReadCheckpoint(bytes.NewReader(e.Ckpt)); !errors.Is(err, sim.ErrCorruptCheckpoint) {
+			j.ckpt, j.epoch = e.Ckpt, e.Epoch
+			//lint:ignore errsink StreamBuf.Write cannot fail
+			j.stream.Write(e.Stream)
+		}
+	}
 	s.mu.Lock()
-	if _, ok := s.jobs[id]; ok {
+	if _, ok := s.jobs[j.ID]; ok {
 		s.mu.Unlock()
 		return nil
 	}
-	j := newJob(e.Spec, s.seq.Add(1))
-	j.attempts = e.Attempts
-	j.epoch = e.Epoch
-	if len(e.Ckpt) > 0 {
-		j.ckpt = e.Ckpt
-		if len(e.Stream) > 0 {
-			//lint:ignore errsink StreamBuf.Write cannot fail
-			j.stream.Write(e.Stream)
-			j.ckptLen = len(e.Stream)
-		}
-	}
-	s.jobs[id] = j
+	j.seq = s.seq.Add(1)
+	s.jobs[j.ID] = j
 	s.mu.Unlock()
 	return s.q.Push(j, true)
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,19 +33,12 @@ var (
 	causeClientCancel = errors.New("serve: canceled by client")
 )
 
-// crashError is a recovered panic: the attempt died mid-flight and its
-// in-memory run state is gone, so recovery restores the job's last saved
-// checkpoint and rewinds its stream to that boundary.
+// crashError is a recovered panic. The job fails with it like with any
+// other error: the run is a pure function of its spec, so the same panic
+// would come back on a second try.
 type crashError struct{ msg string }
 
 func (e *crashError) Error() string { return "serve: attempt panicked: " + e.msg }
-
-// permanentError marks failures retrying cannot fix (invalid
-// configuration, checkpoint/config identity mismatch).
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
 
 // Config tunes the supervisor. The zero value is usable: every field
 // falls back to the default documented on it.
@@ -56,23 +48,9 @@ type Config struct {
 	// QueueLimit bounds the intake queue; submissions beyond it are shed
 	// with ErrQueueFull (default 256).
 	QueueLimit int
-	// MaxAttempts bounds attempts per job, first try included (default 3).
-	MaxAttempts int
-	// RetryBackoff is the first retry's backoff, doubling per attempt
-	// (default 100ms).
-	RetryBackoff time.Duration
-	// MaxBackoff caps a single backoff (default 5s).
-	MaxBackoff time.Duration
-	// RetryBudget caps a job's total backoff; beyond it the job fails
-	// even with attempts left (default 30s).
-	RetryBudget time.Duration
 	// PreemptAfter parks a running job once it has run this long while
 	// other work is queued; 0 disables elastic preemption.
 	PreemptAfter time.Duration
-	// CheckpointEvery is the crash-snapshot period in epochs (default
-	// 200). Every job runs with periodic checkpoints at this cadence so
-	// a panicked attempt resumes instead of restarting.
-	CheckpointEvery int
 	// SpoolDir persists parked/queued jobs across restarts; "" disables
 	// spooling (drain then abandons unfinished jobs).
 	SpoolDir string
@@ -86,6 +64,12 @@ type Config struct {
 	// streams are byte-deterministic — the mode the chaos suite runs the
 	// service in.
 	FrozenClock bool
+
+	// panicOn, when set, is asked before each telemetry record a job
+	// emits; true panics the run there, mid-stream, so the panic unwinds
+	// through the real recovery path. Package tests set it to fail jobs
+	// deterministically; it is nil in production.
+	panicOn func(*Job) bool
 }
 
 func (c Config) withDefaults() Config {
@@ -94,21 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueLimit < 1 {
 		c.QueueLimit = 256
-	}
-	if c.MaxAttempts < 1 {
-		c.MaxAttempts = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 100 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 5 * time.Second
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 30 * time.Second
-	}
-	if c.CheckpointEvery < 1 {
-		c.CheckpointEvery = 200
 	}
 	if c.ResultTTL == 0 {
 		c.ResultTTL = 15 * time.Minute
@@ -128,9 +97,12 @@ type Stats struct {
 	Canceled  int64 `json:"canceled"`
 	Preempted int64 `json:"preempted"`
 	Crashes   int64 `json:"crashes"`
-	Retries   int64 `json:"retries"`
-	Evicted   int64 `json:"evicted"`
-	Draining  bool  `json:"draining"`
+	// Retries is always 0: a failed job stays failed, because a rerun of
+	// a deterministic job fails the same way. The field stays because
+	// perfbench's serve.retry_ratio reads it.
+	Retries  int64 `json:"retries"`
+	Evicted  int64 `json:"evicted"`
+	Draining bool  `json:"draining"`
 	// ThetaHits and ThetaMisses count the practical jobs whose θ fit came
 	// from the supervisor's sim.ThetaMemo and those that profiled afresh.
 	ThetaHits   int64 `json:"theta_hits"`
@@ -144,9 +116,8 @@ type Supervisor struct {
 	cfg Config
 	q   *queue
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	timers map[*time.Timer]struct{}
+	mu   sync.Mutex
+	jobs map[string]*Job
 
 	// seq allocates the queue's FIFO tie-break numbers. Atomic rather
 	// than s.mu-guarded: requeue bumps it while holding j.mu, and the
@@ -164,7 +135,7 @@ type Supervisor struct {
 
 	submitted, deduped, shed, completed atomic.Int64
 	failed, canceled, evicted           atomic.Int64
-	preempted, crashes, retries         atomic.Int64
+	preempted, crashes                  atomic.Int64
 }
 
 // NewSupervisor builds the supervisor, reloads any spooled jobs from
@@ -172,12 +143,11 @@ type Supervisor struct {
 func NewSupervisor(cfg Config) (*Supervisor, error) {
 	cfg = cfg.withDefaults()
 	s := &Supervisor{
-		cfg:    cfg,
-		q:      newQueue(cfg.QueueLimit),
-		jobs:   make(map[string]*Job),
-		timers: make(map[*time.Timer]struct{}),
-		stop:   make(chan struct{}),
-		theta:  sim.NewThetaMemo(),
+		cfg:   cfg,
+		q:     newQueue(cfg.QueueLimit),
+		jobs:  make(map[string]*Job),
+		stop:  make(chan struct{}),
+		theta: sim.NewThetaMemo(),
 	}
 	if err := s.loadSpool(); err != nil {
 		return nil, err
@@ -422,21 +392,6 @@ func (s *Supervisor) Preempt(id string) error {
 	return nil
 }
 
-// Kill arms a deterministic mid-job crash: the job's next telemetry
-// record panics the attempt, exercising the real panic-recovery and
-// checkpoint-restore path. The chaos suite's stand-in for a dying
-// worker.
-func (s *Supervisor) Kill(id string) error {
-	j, err := s.Get(id)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.crashArmed = true
-	return nil
-}
-
 // Stats snapshots the operational counters.
 func (s *Supervisor) Stats() Stats {
 	s.mu.Lock()
@@ -461,7 +416,6 @@ func (s *Supervisor) Stats() Stats {
 		Canceled:  s.canceled.Load(),
 		Preempted: s.preempted.Load(),
 		Crashes:   s.crashes.Load(),
-		Retries:   s.retries.Load(),
 		Evicted:   s.evicted.Load(),
 		Draining:  s.draining.Load(),
 
@@ -532,9 +486,10 @@ func (s *Supervisor) worker(id int) {
 	}
 }
 
-// runJob executes one attempt of a job and classifies the outcome:
-// success, park (preempt/drain), client cancel, or failure with the
-// retry policy applied.
+// runJob runs a job once and settles the outcome: success, park
+// (preempt/drain), client cancel, or failure. A failed job stays failed:
+// the run is a pure function of its spec and its resume point, so a
+// second try would fail the same way.
 func (s *Supervisor) runJob(worker int, j *Job) {
 	j.mu.Lock()
 	if j.state != StateQueued {
@@ -543,7 +498,6 @@ func (s *Supervisor) runJob(worker int, j *Job) {
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	j.state = StateRunning
-	j.attempts++
 	j.cancel = cancel
 	j.worker = worker
 	j.startedAt = time.Now()
@@ -551,132 +505,64 @@ func (s *Supervisor) runJob(worker int, j *Job) {
 	defer cancel(nil)
 
 	res, err := s.attempt(j, ctx)
+	ce := asCancel(err)
+	var ckpt []byte
+	if ce != nil && ce.Checkpoint != nil && !errors.Is(ce.Cause, causeClientCancel) {
+		// A park that cannot frame its resume point fails the job: gob
+		// into memory fails only deterministically.
+		var eerr error
+		if ckpt, eerr = encodeCheckpoint(ce.Checkpoint); eerr != nil {
+			ce, err = nil, eerr
+		}
+	}
 
-	//sync:balanced every branch unlocks; the default branch hands j.mu to classifyFailure, which releases it
 	j.mu.Lock()
 	j.cancel = nil
 	switch {
 	case err == nil:
 		j.result = res
-		j.clearResumeState()
+		j.ckpt = nil
 		j.finish(StateDone)
 		j.mu.Unlock()
 		s.completed.Add(1)
-		s.jobSettled(j)
 
-	case isCancel(err):
-		ce := asCancel(err)
-		cause := ce.Cause
-		if ce.Checkpoint != nil {
-			// The stream holds records exactly through the stopping
-			// epoch, so its current length IS the checkpoint boundary.
-			//sync:nonblocking Encode frames into an in-memory bytes.Buffer; no real I/O happens under j.mu
-			if enc := encodeCheckpoint(ce.Checkpoint); enc != nil {
-				j.ckpt, j.ckptLen, j.epoch = enc, j.stream.Len(), ce.Epoch
-			}
+	case ce != nil && errors.Is(ce.Cause, causeClientCancel):
+		j.finish(StateCanceled)
+		j.mu.Unlock()
+		s.canceled.Add(1)
+
+	case ce != nil:
+		if ckpt != nil {
+			// The stream holds records exactly through the stopping epoch,
+			// so it already ends at the checkpoint's boundary.
+			j.ckpt, j.epoch = ckpt, ce.Epoch
 		}
-		switch {
-		case errors.Is(cause, causeClientCancel):
-			j.finish(StateCanceled)
-			j.mu.Unlock()
-			s.canceled.Add(1)
-			s.jobSettled(j)
-		case errors.Is(cause, causeDrain):
-			// Preemption and a run attempt are not failures: give the
-			// attempt back.
-			j.attempts--
-			j.state = StateParked
-			j.mu.Unlock() // drain spools parked jobs
-		default: // preemption (elastic or explicit)
-			j.attempts--
-			j.state = StateParked
-			j.mu.Unlock()
+		j.state = StateParked
+		j.mu.Unlock()
+		// Drain spools parked jobs; a preempted one queues again.
+		if !errors.Is(ce.Cause, causeDrain) {
 			s.preempted.Add(1)
 			s.requeue(j)
 		}
+		return
 
 	default:
-		//sync:nonblocking classifyFailure releases j.mu before the settle path touches the spool
-		s.classifyFailure(j, err)
-	}
-}
-
-// classifyFailure applies the retry policy to a failed attempt. Callers
-// hold j.mu; it is released before returning.
-func (s *Supervisor) classifyFailure(j *Job, err error) {
-	var crash *crashError
-	if errors.As(err, &crash) {
-		s.crashes.Add(1)
-	}
-	var perm *permanentError
-	permanent := errors.As(err, &perm)
-
-	budgetLeft := s.cfg.RetryBudget - j.backoff
-	if permanent || j.attempts >= s.cfg.MaxAttempts || budgetLeft <= 0 {
-		j.failure = &Failure{
-			Error:     err.Error(),
-			Attempts:  j.attempts,
-			Panicked:  crash != nil,
-			BackoffMS: j.backoff.Milliseconds(),
-		}
+		var crash *crashError
+		panicked := errors.As(err, &crash)
+		j.failure = &Failure{Error: err.Error(), Panicked: panicked}
 		j.finish(StateFailed)
-		//sync:balanced callers hold j.mu by contract; classifyFailure releases it before returning
 		j.mu.Unlock()
+		if panicked {
+			s.crashes.Add(1)
+		}
 		s.failed.Add(1)
-		s.jobSettled(j)
-		return
 	}
-
-	// Exponential backoff with deterministic jitter, capped per-wait and
-	// by the job's total budget.
-	d := s.cfg.RetryBackoff << (j.attempts - 1)
-	if d > s.cfg.MaxBackoff || d <= 0 {
-		d = s.cfg.MaxBackoff
-	}
-	d = jitter(j.ID, j.attempts, d)
-	if d > budgetLeft {
-		d = budgetLeft
-	}
-	j.backoff += d
-	j.state = StateParked
-	//sync:balanced callers hold j.mu by contract; classifyFailure releases it before returning
-	j.mu.Unlock()
-	s.retries.Add(1)
-
-	s.mu.Lock()
-	if s.draining.Load() {
-		// Drain already swept the timer set; stay parked for spooling.
-		s.mu.Unlock()
-		return
-	}
-	var t *time.Timer
-	t = time.AfterFunc(d, func() {
-		// The lock acquisition orders this callback after the
-		// registration below, so t is fully assigned here even when the
-		// timer fires immediately. Deleting the fired timer keeps the
-		// set from growing by one entry per retry forever.
-		s.mu.Lock()
-		delete(s.timers, t)
-		s.mu.Unlock()
-		s.requeue(j)
-	})
-	s.timers[t] = struct{}{}
-	s.mu.Unlock()
+	s.jobSettled(j)
 }
 
-// jitter scales d by a deterministic factor in [0.75, 1.25) derived from
-// the job ID and attempt number: spread in the fleet, reproducible in
-// tests.
-func jitter(id string, attempt int, d time.Duration) time.Duration {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%d", id, attempt)
-	frac := float64(h.Sum64()%1000) / 1000 // [0, 1)
-	return time.Duration(float64(d) * (0.75 + frac/2))
-}
-
-// requeue re-admits a parked job (after preemption or backoff). It must
-// not touch s.mu while holding j.mu — every other path takes them in the
-// opposite order — which is why seq is an atomic counter.
+// requeue re-admits a preempted job. It must not touch s.mu while holding
+// j.mu — every other path takes them in the opposite order — which is why
+// seq is an atomic counter.
 func (s *Supervisor) requeue(j *Job) {
 	j.mu.Lock()
 	if j.state != StateParked {
@@ -696,20 +582,14 @@ func (s *Supervisor) requeue(j *Job) {
 	}
 }
 
-// clearResumeState drops the parked checkpoint. Callers hold j.mu.
-func (j *Job) clearResumeState() { j.ckpt, j.ckptLen = nil, 0 }
-
-// encodeCheckpoint frames a checkpoint into bytes, or nil on failure
-// (the job then restarts from its previous resume point).
-func encodeCheckpoint(cp *sim.Checkpoint) []byte {
+// encodeCheckpoint frames a checkpoint into bytes.
+func encodeCheckpoint(cp *sim.Checkpoint) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := cp.Encode(&buf); err != nil {
-		return nil
+		return nil, err
 	}
-	return buf.Bytes()
+	return buf.Bytes(), nil
 }
-
-func isCancel(err error) bool { return asCancel(err) != nil }
 
 func asCancel(err error) *sim.CancelError {
 	var ce *sim.CancelError
@@ -719,10 +599,10 @@ func asCancel(err error) *sim.CancelError {
 	return nil
 }
 
-// attempt runs one try of the job with panic containment. It rewinds the
-// stream to the resume boundary, restores the parked checkpoint if any,
-// and runs under the job's cancellation context with periodic crash
-// snapshots.
+// attempt runs the job once with panic containment, from its parked
+// checkpoint if it has one. Every error it returns is a function of the
+// spec and that checkpoint: invalid configuration, a checkpoint from
+// another schema or config, or a failure inside the deterministic run.
 func (s *Supervisor) attempt(j *Job, ctx context.Context) (res *sim.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -732,88 +612,49 @@ func (s *Supervisor) attempt(j *Job, ctx context.Context) (res *sim.Result, err 
 
 	cfg, err := j.Spec.simConfig()
 	if err != nil {
-		return nil, &permanentError{err}
+		return nil, err
 	}
-
-	j.mu.Lock()
-	ckpt := j.ckpt
-	ckptLen := j.ckptLen
-	j.mu.Unlock()
-	// A fresh attempt after a crash may have stream bytes past the last
-	// snapshot; rewind so the final stream holds every record exactly
-	// once.
-	j.stream.Truncate(ckptLen)
-
 	reg := telemetry.NewRegistry()
 	if s.cfg.FrozenClock {
 		epoch := time.Unix(0, 0)
 		reg.SetClock(func() time.Time { return epoch })
 	}
-	reg.AddSink(&jobSink{sink: telemetry.NewJSONLSink(j.stream), job: j})
+	reg.AddSink(&jobSink{sink: telemetry.NewJSONLSink(j.stream), job: j, panicOn: s.cfg.panicOn})
 	cfg.Telemetry = reg
 	cfg.ThetaMemo = s.theta
-	cfg.Checkpoint = sim.CheckpointConfig{
-		EveryEpochs: s.cfg.CheckpointEvery,
-		Sink:        func(cp *sim.Checkpoint) error { return j.saveSnapshot(cp) },
-	}
 
 	r, err := sim.New(cfg)
 	if err != nil {
-		return nil, &permanentError{err}
+		return nil, err
 	}
+	j.mu.Lock()
+	ckpt := j.ckpt
+	j.mu.Unlock()
 	if len(ckpt) > 0 {
 		cp, err := sim.ReadCheckpoint(bytes.NewReader(ckpt))
-		switch {
-		case errors.Is(err, sim.ErrCorruptCheckpoint):
-			// A damaged resume point costs the progress, not the job:
-			// drop it and restart the run from scratch.
-			j.mu.Lock()
-			j.clearResumeState()
-			j.epoch = -1
-			j.mu.Unlock()
-			j.stream.Truncate(0)
-		case err != nil:
+		if err != nil {
 			return nil, err
-		default:
-			if rerr := r.Restore(cp); rerr != nil {
-				return nil, &permanentError{rerr}
-			}
+		}
+		if err := r.Restore(cp); err != nil {
+			return nil, err
 		}
 	}
 	return r.RunContext(ctx)
 }
 
-// saveSnapshot is the periodic checkpoint sink: it stores the framed
-// bytes and the stream boundary that belongs to them. The runner invokes
-// it after the epoch's record is emitted (and our sink flushes per
-// record), so the stream length here is exactly the boundary.
-func (j *Job) saveSnapshot(cp *sim.Checkpoint) error {
-	enc := encodeCheckpoint(cp)
-	if enc == nil {
-		return nil // a failed snapshot skips an update, never kills the run
-	}
-	j.mu.Lock()
-	j.ckpt, j.ckptLen, j.epoch = enc, j.stream.Len(), cp.Epoch
-	j.mu.Unlock()
-	return nil
-}
-
 // jobSink adapts the JSONL sink for service use: every record is flushed
-// through to the stream immediately (live streaming), and an armed chaos
-// kill fires here, inside the run, so the panic takes the real recovery
-// path.
+// through to the stream immediately (live streaming). Config.panicOn
+// fires here, inside the run, so a test panic unwinds through the real
+// recovery path.
 type jobSink struct {
-	sink *telemetry.JSONLSink
-	job  *Job
+	sink    *telemetry.JSONLSink
+	job     *Job
+	panicOn func(*Job) bool
 }
 
 func (s *jobSink) Emit(rec *telemetry.Record) error {
-	s.job.mu.Lock()
-	killed := s.job.crashArmed
-	s.job.crashArmed = false
-	s.job.mu.Unlock()
-	if killed {
-		panic("chaos: worker killed mid-job")
+	if s.panicOn != nil && s.panicOn(s.job) {
+		panic("serve: test panic mid-stream")
 	}
 	if err := s.sink.Emit(rec); err != nil {
 		return err
@@ -874,7 +715,7 @@ func (s *Supervisor) aggregateSweep(p *Job) {
 	st := StateDone
 	if sw.Done == 0 && len(sw.Cells) > 0 {
 		st = StateFailed
-		p.failure = &Failure{Error: "serve: every sweep cell failed", Attempts: 1}
+		p.failure = &Failure{Error: "serve: every sweep cell failed"}
 	}
 	p.finish(st)
 	p.mu.Unlock()
@@ -942,14 +783,6 @@ func (s *Supervisor) Drain() error {
 	if s.draining.Swap(true) {
 		return nil
 	}
-	// Stop the retry timers first: their jobs stay parked and spool.
-	s.mu.Lock()
-	for t := range s.timers {
-		t.Stop()
-	}
-	s.timers = make(map[*time.Timer]struct{})
-	s.mu.Unlock()
-
 	close(s.stop)
 	// Cancel running jobs with the drain cause; their workers park them.
 	s.mu.Lock()

@@ -2,12 +2,14 @@ package serve
 
 // Regression tests for supervisor lifecycle edges: canceled queued work
 // settling its sweep parent, tombstone resubmission, result-cache
-// eviction, retry-timer cleanup, and the Stats/requeue lock ordering.
+// eviction, goroutine teardown on drain, and the Stats/requeue lock
+// ordering.
 
 import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -87,17 +89,22 @@ func TestCancelQueuedSweepChildSettlesParent(t *testing.T) {
 }
 
 func TestResubmitAfterTombstoneRunsFresh(t *testing.T) {
-	sup := newTestSupervisor(t, Config{Workers: 1, MaxAttempts: 1})
+	// Only the first job of spec 911 panics; its resubmission must run
+	// clean.
+	var doomedJob atomic.Pointer[Job]
+	sup := newTestSupervisor(t, Config{
+		Workers: 1,
+		panicOn: func(j *Job) bool { return j == doomedJob.Load() },
+	})
 	release := occupyWorker(t, sup, 910)
 
-	// Armed while queued: the only attempt panics, so the job fails.
+	// Queued behind the busy worker, so it cannot start before it is
+	// marked: its run panics and the job fails.
 	doomed, created, err := sup.Submit(smallSpec(911))
 	if err != nil || !created {
 		t.Fatalf("submit: created=%v err=%v", created, err)
 	}
-	if err := sup.Kill(doomed.ID); err != nil {
-		t.Fatal(err)
-	}
+	doomedJob.Store(doomed)
 	// Canceled while queued: the other tombstone flavor.
 	axed, _, err := sup.Submit(smallSpec(912))
 	if err != nil {
@@ -171,34 +178,6 @@ func TestResultTTLEviction(t *testing.T) {
 	waitState(t, j2, StateDone)
 }
 
-func TestRetryTimerRemovedAfterFiring(t *testing.T) {
-	sup := newTestSupervisor(t, Config{Workers: 1, MaxAttempts: 3, RetryBackoff: time.Millisecond})
-	release := occupyWorker(t, sup, 930)
-
-	// crashArmed is one-shot: the first attempt panics, the retry
-	// succeeds — exactly one timer is created and must also be removed.
-	j, _, err := sup.Submit(smallSpec(931))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sup.Kill(j.ID); err != nil {
-		t.Fatal(err)
-	}
-	release()
-	waitState(t, j, StateDone)
-	if got := sup.Stats().Retries; got != 1 {
-		t.Fatalf("retries = %d, want 1", got)
-	}
-	// The fired timer deletes itself before requeueing the job, so by
-	// the time the job is done the set must be empty again.
-	sup.mu.Lock()
-	n := len(sup.timers)
-	sup.mu.Unlock()
-	if n != 0 {
-		t.Errorf("%d retry timers leaked in the set after firing", n)
-	}
-}
-
 func TestSweepOverFinishedCellsAggregatesImmediately(t *testing.T) {
 	sup := newTestSupervisor(t, Config{Workers: 2})
 	cellA := JobSpec{Policy: "all-on", Benchmark: "fft", Seed: 940, DurationMS: 5, WarmupEpochs: 2}
@@ -249,20 +228,25 @@ func TestSweepOverFinishedCellsAggregatesImmediately(t *testing.T) {
 
 func TestStatsDuringRetriesAndPreemptionNoDeadlock(t *testing.T) {
 	// Regression for the requeue/Stats ABBA lock inversion: hammer
-	// Stats() (s.mu → j.mu) while backoff timers and the preempt monitor
-	// drive requeues concurrently. Before the fix this wedged the whole
-	// supervisor; now it must settle within the deadline.
+	// Stats() (s.mu → j.mu) while preemptions drive requeues (j.mu, then
+	// the sequence allocator) concurrently. Two jobs on one worker keep
+	// the queue non-empty, so the preempt monitor parks whichever runs;
+	// explicit Preempt calls add more. Before the fix this wedged the
+	// whole supervisor; now it must settle within the deadline.
 	sup := newTestSupervisor(t, Config{
-		Workers:         2,
-		FrozenClock:     true,
-		CheckpointEvery: 10,
-		MaxAttempts:     10,
-		RetryBackoff:    time.Millisecond,
-		PreemptAfter:    10 * time.Millisecond,
+		Workers:      1,
+		FrozenClock:  true,
+		PreemptAfter: 10 * time.Millisecond,
 	})
-	j, _, err := sup.Submit(chaosSpec(950))
-	if err != nil {
-		t.Fatal(err)
+	var jobs []*Job
+	for _, seed := range []uint64{950, 951} {
+		spec := chaosSpec(seed)
+		spec.DurationMS = 600
+		j, _, err := sup.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -279,60 +263,53 @@ func TestStatsDuringRetriesAndPreemptionNoDeadlock(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 5; round++ {
-		if j.State() == StateRunning {
+		for _, j := range jobs {
 			//nolint:errcheck — the job may settle concurrently
-			sup.Kill(j.ID)
+			sup.Preempt(j.ID)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	select {
-	case <-j.Done():
-	case <-after(t, 60*time.Second):
-		close(stop)
-		wg.Wait()
-		t.Fatalf("supervisor wedged: job stuck in %s while Stats was polled", j.State())
+	for _, j := range jobs {
+		select {
+		case <-j.Done():
+		case <-after(t, 60*time.Second):
+			close(stop)
+			wg.Wait()
+			t.Fatalf("supervisor wedged: job stuck in %s while Stats was polled", j.State())
+		}
 	}
 	close(stop)
 	wg.Wait()
-	if st := j.State(); st != StateDone && st != StateFailed {
-		t.Fatalf("job ended %s", st)
+	for _, j := range jobs {
+		if st := j.State(); st != StateDone {
+			t.Fatalf("job ended %s, want done", st)
+		}
+	}
+	if sup.Stats().Preempted < 1 {
+		t.Fatal("no preemption landed, so no requeue raced Stats")
 	}
 }
 
 // TestDrainLeavesNoTimersOrGoroutines: a drained supervisor must not
-// leave its workers, janitor, preempt monitor, or an armed retry timer
-// behind — the goroutine/timer lifecycle shape golife now enforces
-// statically. The retry backoff is far enough out that Drain has to
-// sweep the timer rather than win a race against it firing.
+// leave its workers, janitor or preempt monitor behind — the goroutine
+// lifecycle shape golife enforces statically. The drain lands while a
+// job runs, so a worker has to park it on the way out.
 func TestDrainLeavesNoTimersOrGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	sup, err := NewSupervisor(Config{Workers: 2, MaxAttempts: 3, RetryBackoff: 10 * time.Second})
+	sup, err := NewSupervisor(Config{Workers: 2, PreemptAfter: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, _, err := sup.Submit(smallSpec(940))
+	j, _, err := sup.Submit(longSpec(940))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sup.Kill(j.ID); err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, j, StateParked)
-	sup.mu.Lock()
-	armed := len(sup.timers)
-	sup.mu.Unlock()
-	if armed != 1 {
-		t.Fatalf("retry timers armed = %d, want 1", armed)
-	}
-
+	waitState(t, j, StateRunning)
 	if err := sup.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	sup.mu.Lock()
-	leaked := len(sup.timers)
-	sup.mu.Unlock()
-	if leaked != 0 {
-		t.Errorf("%d retry timers leaked past drain", leaked)
+	if st := j.State(); st != StateParked {
+		t.Errorf("drained job is %s, want parked", st)
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {

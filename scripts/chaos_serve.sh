@@ -4,17 +4,18 @@
 # Drives the failure modes the robustness layer claims to survive and
 # asserts the service invariants held after each:
 #
-#   - worker kills mid-job (armed panics through the real recovery path)
+#   - jobs panicking mid-stream through the real recovery path (the job
+#     fails, its worker lives on), alone and as a subset of a burst
 #   - repeated and elastic preemption (checkpoint-park-resume)
-#   - drain/spool/restart cycles, including a drain during retry backoff
+#   - drain/spool/restart cycles, including a corrupt spooled checkpoint
 #   - slow clients and mid-stream disconnects on the streaming path
 #   - jobs carrying injected fault schedules
-#   - a kill storm over a concurrent burst (no job lost or duplicated)
 #   - a real process SIGTERMed mid-job and restarted over its spool
 #
 # "Survived" means: every job reached a terminal state, none vanished or
-# ran twice into the same stream, and under the frozen clock every
-# completed stream is byte-identical to an uninterrupted run's.
+# ran twice into the same stream, a panicking job failed with the panic
+# recorded, and under the frozen clock every completed stream is
+# byte-identical to an uninterrupted run's.
 #
 # Usage: scripts/chaos_serve.sh   (or: make chaos-serve)
 
@@ -24,9 +25,9 @@ cd "$(dirname "$0")/.."
 echo "chaos-serve: in-process chaos suite (race detector on)"
 go test -race -count=1 -timeout 300s -run 'TestChaos' ./internal/serve/
 
-echo "chaos-serve: queue/supervisor robustness (shed, retry, cancel, drain)"
+echo "chaos-serve: queue/supervisor robustness (shed, panic, cancel, drain, corrupt spool)"
 go test -race -count=1 -timeout 300s \
-  -run 'TestQueue|TestRetryBackoffAndFailureRecord|TestCancelRunningJob|TestLoadShedding|TestDrainSpoolsAndRestartResumes' \
+  -run 'TestQueue|TestPanicFailsJobWorkerSurvives|TestCancelRunningJob|TestLoadShedding|TestDrainSpoolsAndRestartResumes|TestSpoolCorruptCheckpointRunsFresh' \
   ./internal/serve/
 
 echo "chaos-serve: process-level SIGTERM drain + spool restart"
