@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -191,7 +192,7 @@ func TestExecuteMetricsJSONLStream(t *testing.T) {
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	var n int
-	var totalWall, totalPhases float64
+	var coverage []float64
 	for sc.Scan() {
 		var rec map[string]any
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
@@ -212,22 +213,22 @@ func TestExecuteMetricsJSONLStream(t *testing.T) {
 		if phases > wall {
 			t.Errorf("epoch %v: phase sum %.0fns exceeds wall %.0fns", rec["epoch"], phases, wall)
 		}
-		totalWall += wall
-		totalPhases += phases
+		coverage = append(coverage, phases/wall)
 		n++
 	}
 	if n != 60 {
 		t.Fatalf("JSONL stream has %d epoch records, want 60", n)
 	}
 	// The acceptance bar: per-phase durations must cover ≥90% of the
-	// measured epoch wall time. Assert it on the aggregate — individual
-	// sub-millisecond epochs can be preempted between two spans by the
-	// scheduler, which the aggregate absorbs. The sanitizer build (-tags
-	// tgsan) runs its composite checks between spans, so the bar only
-	// applies to the default build.
-	if !invariant.Enabled && totalPhases < 0.9*totalWall {
-		t.Errorf("phases cover %.1f%% of total epoch wall time, want >= 90%%",
-			100*totalPhases/totalWall)
+	// measured epoch wall time. Assert it on the median epoch: a
+	// sub-millisecond epoch the scheduler preempts between two spans is
+	// an outlier the median ignores, while work left outside every span
+	// shows up in every epoch. The sanitizer build (-tags tgsan) runs its
+	// composite checks between spans, so the bar only applies to the
+	// default build.
+	slices.Sort(coverage)
+	if med := coverage[len(coverage)/2]; !invariant.Enabled && med < 0.9 {
+		t.Errorf("phases cover %.1f%% of the median epoch's wall time, want >= 90%%", 100*med)
 	}
 
 	csvBytes, err := os.ReadFile(csvPath)

@@ -1,16 +1,15 @@
 package analysis
 
-// cacheflush generalizes PR 6's rebuildPaths invariant: derived caches
-// (the PDN's per-mask effective-resistance vectors, the mesh's Cholesky
-// factors) are flushed only when the topology or geometry they were
-// computed from changes, so any mutation of a watched field that is not
-// followed by the corresponding flush call on every path to return
-// serves stale physics. Rules come from Config.Cacheflush.Rules:
-// each names a type (base name or full "importpath.Name"), the fields
-// whose mutation invalidates the cache, and the flush callees that
-// rebuild it. An empty flush list declares the fields frozen after
-// construction (the Mesh geometry case: its factor cache never
-// invalidates because nothing may mutate the geometry).
+// cacheflush generalizes the rebuildPaths invariant: derived caches
+// (the PDN's per-mask effective-resistance vectors) are flushed only when
+// the topology they were computed from changes, so any mutation of a
+// watched field that is not followed by the corresponding flush call on
+// every path to return serves stale physics. Rules come from
+// Config.Cacheflush.Rules: each names a type (base name or full
+// "importpath.Name"), the fields whose mutation invalidates the cache,
+// and the flush callees that rebuild it. An empty flush list declares
+// the fields frozen after construction (the Mesh geometry case: NewMesh
+// rasterises the domain once, and nothing may move a node afterwards).
 //
 // Exemptions: mutations inside a function named in the flush list (the
 // flush routine rebuilds the fields it owns), and mutations through a

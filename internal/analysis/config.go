@@ -137,6 +137,8 @@ func DefaultConfig() *Config {
 	c.Cacheflush.Rules = []CacheflushRule{
 		{Type: "Network", Fields: []string{"pathR", "conc"}, Flush: []string{"rebuildPaths"}},
 		{Type: "Regulator", Fields: []string{"Pos"}, Flush: []string{"rebuildPaths"}},
+		// Mesh geometry is frozen: NewMesh rasterises the domain once and
+		// every Solve assembles its nodal matrix from it.
 		{Type: "Mesh", Fields: []string{"nodeBlock", "blockNodes", "vrNode", "nx", "ny", "x0", "y0"}, Flush: nil},
 	}
 	c.Tgsync.Packages = []string{"serve", "sim", "experiments"}

@@ -1,20 +1,18 @@
 package pdn
 
-// This file holds the per-mask caching layer shared by the two PDN
-// solvers. Both the fast path-resistance model (Network) and the nodal
-// mesh validator (Mesh) do work whose expensive part depends only on the
-// active-regulator mask, not on the per-block currents: the effective
-// resistance each block sees, and the Cholesky factorization of the
-// nodal matrix. The governor changes a domain's mask only on decision
-// epochs, while SteadyNoise runs 160-320 times per epoch, so keying that
-// work by mask and caching a handful of entries turns almost every solve
-// into a lookup plus a cheap linear pass.
+// This file holds the per-mask caching layer of the fast path-resistance
+// model (Network). The expensive part of a steady-noise solve — the
+// effective resistance each block sees — depends only on the
+// active-regulator mask, not on the per-block currents. The governor
+// changes a domain's mask only on decision epochs, while SteadyNoise runs
+// 160-320 times per epoch, so keying that work by mask and caching a
+// handful of entries turns almost every solve into a lookup plus a cheap
+// linear pass.
 //
-// Invalidation rule: a cached entry is valid as long as the underlying
-// topology — path resistances for Network, grid geometry and R0 for
-// Mesh — is unchanged. The only mutation point is Network.rebuildPaths
-// (the placement optimiser); it flushes every domain cache. Mesh
-// geometry is immutable after NewMesh, so its cache never invalidates.
+// Invalidation rule: a cached entry is valid as long as the path
+// resistances it was computed from are unchanged. The only mutation
+// point is Network.rebuildPaths (the placement optimiser); it flushes
+// every domain cache.
 //
 // Concurrency rule: caches are per-domain and unsynchronized; a Network
 // belongs to the one goroutine running its simulation.
@@ -41,9 +39,9 @@ func MaskKey(active []bool) uint64 {
 // fields and registers nothing — the telemetry counters fed from it
 // ("pdn_mask_cache_total") are registered by the simulator's
 // instruments, and telemetry.Registry.Counter is get-or-create keyed by
-// name+labels, so any number of domains, meshes, or whole runners
-// sharing one registry re-resolve the same counter rather than
-// colliding; there is no duplicate-name panic path. Per-domain stats
+// name+labels, so any number of domains or whole runners sharing one
+// registry re-resolve the same counter rather than colliding; there is
+// no duplicate-name panic path. Per-domain stats
 // summed by Network.CacheStats therefore aggregate cleanly into one
 // shared counter (see sim's TestSharedRegistryCacheCounters).
 type CacheStats struct {

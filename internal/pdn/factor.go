@@ -8,11 +8,8 @@ import (
 // The nodal matrix of a domain mesh is symmetric positive definite: a
 // 5-point grid Laplacian plus the active regulators' source conductances
 // on the diagonal. Its half-bandwidth is nx (row-major node numbering),
-// and — crucially — the matrix depends only on the active-VR mask, not
-// on the load currents, which enter as the right-hand side. Mesh.Solve
-// therefore factors once per mask (O(n·bw²), cached in an LRU) and
-// re-solves each current vector by substitution (O(n·bw)), replacing
-// the SOR sweep that used to iterate hundreds of times per call.
+// so Mesh.Solve factors it as a banded Cholesky (O(n·bw²)) and solves
+// the load vector by two banded substitutions (O(n·bw)).
 
 // meshFactor is the banded Cholesky factor L of one mask's nodal matrix.
 // Row-major half-band storage: l[i*(bw+1)+d] holds L[i][i-bw+d], so the

@@ -12,9 +12,10 @@ import (
 // path-resistance model used inside the control loop approximates each
 // block↔regulator path with a lumped resistance; the mesh solver instead
 // builds the domain's local power grid as a true resistive mesh and solves
-// the nodal equations, the way the extended VoltSpot of the paper does.
-// It exists to validate the fast model (see the mesh-vs-path tests and the
-// ablation benchmark) and for detailed one-off analyses.
+// the nodal equations directly, the way the extended VoltSpot of the paper
+// does. It is a validator: the differential tests and the ablation
+// benchmark compare the fast model against it, and nothing in the control
+// loop calls it.
 type MeshConfig struct {
 	// PitchMM is the grid node spacing.
 	PitchMM float64
@@ -26,44 +27,19 @@ type MeshConfig struct {
 	R0Ohm float64
 	// VddV is the nominal supply.
 	VddV float64
-	// Tol is the SOR convergence tolerance in volts.
-	Tol float64
-	// MaxIter bounds the SOR iterations.
-	MaxIter int
-	// Omega is the SOR over-relaxation factor in (0, 2).
-	Omega float64
-	// FactorCacheSize bounds the LRU of per-mask Cholesky factorizations
-	// Solve keeps (see cache.go). Zero selects the default; CacheDisabled
-	// refactorizes on every Solve (the benchmarks' uncached control).
-	FactorCacheSize int
 }
 
-// defaultFactorCacheSize is the factorization cache capacity used when
-// MeshConfig.FactorCacheSize is zero. A governor cycles through few
-// masks per domain, so a handful of factors covers the working set.
-const defaultFactorCacheSize = 8
-
-// factorCacheSize resolves the configured capacity, applying the default.
-func (c MeshConfig) factorCacheSize() int {
-	if c.FactorCacheSize == 0 {
-		return defaultFactorCacheSize
-	}
-	return c.FactorCacheSize
-}
-
-// DefaultMeshConfig matches the calibrated path model: with the default
-// pitch, the effective mesh resistance between a load and a regulator
-// reproduces R0 + ρ·distance within the accuracy the validation tests
-// assert.
+// DefaultMeshConfig is calibrated against the path model on the core
+// domains: with the default pitch, the effective mesh resistance between
+// a load and a regulator tracks R0 + ρ·distance within the bounds
+// TestMeshValidatesPathModel commits. On the wide L3 banks the mesh reads
+// three to six times the path model's worst drop (see EXPERIMENTS.md).
 func DefaultMeshConfig() MeshConfig {
 	return MeshConfig{
 		PitchMM:  0.25,
 		SheetOhm: 0.008,
 		R0Ohm:    0.028,
 		VddV:     1.03,
-		Tol:      1e-7,
-		MaxIter:  20000,
-		Omega:    1.8,
 	}
 }
 
@@ -71,15 +47,6 @@ func DefaultMeshConfig() MeshConfig {
 func (c MeshConfig) Validate() error {
 	if c.PitchMM <= 0 || c.SheetOhm <= 0 || c.R0Ohm <= 0 || c.VddV <= 0 {
 		return errors.New("pdn: mesh dimensions and resistances must be positive")
-	}
-	if c.Tol <= 0 || c.MaxIter <= 0 {
-		return errors.New("pdn: mesh solver needs positive tolerance and iteration budget")
-	}
-	if c.Omega <= 0 || c.Omega >= 2 {
-		return errors.New("pdn: SOR omega outside (0, 2)")
-	}
-	if c.FactorCacheSize < CacheDisabled {
-		return errors.New("pdn: factor cache size must be non-negative (or CacheDisabled)")
 	}
 	return nil
 }
@@ -99,10 +66,6 @@ type Mesh struct {
 	blockNodes [][]int
 	// vrNode[ri] is the node index nearest the ri-th regulator.
 	vrNode []int
-	// factors caches the banded Cholesky factorization per active-VR
-	// mask. The mesh geometry is immutable after NewMesh, so entries
-	// never invalidate; they only rotate out of the LRU.
-	factors *maskLRU[*meshFactor]
 }
 
 // NewMesh builds the grid for one domain.
@@ -154,9 +117,6 @@ func NewMesh(chip *floorplan.Chip, domain int, cfg MeshConfig) (*Mesh, error) {
 	for ri, rid := range d.Regulators {
 		m.vrNode[ri] = m.nearestNode(chip.Regulators[rid].Pos)
 	}
-	if cfg.FactorCacheSize != CacheDisabled {
-		m.factors = newMaskLRU[*meshFactor](cfg.factorCacheSize())
-	}
 	return m, nil
 }
 
@@ -199,16 +159,13 @@ type MeshSolution struct {
 	// PerBlockPct is the worst drop under each domain block (indexed like
 	// Domain.Blocks).
 	PerBlockPct []float64
-	// Iterations is the SOR iteration count used; the direct solver
-	// (Solve) reports 0.
-	Iterations int
 	// SupplyA is the total current delivered by the active regulators
 	// (equals the total load current at convergence — Kirchhoff).
 	SupplyA float64
 }
 
 // prepare validates the inputs and assembles the per-node load vector
-// and per-node source conductances both solvers share.
+// and per-node source conductances of the nodal system A·v = load.
 func (m *Mesh) prepare(blockCurrent []float64, active []bool) (load, srcG []float64, err error) {
 	d := &m.chip.Domains[m.domain]
 	if len(blockCurrent) != len(m.chip.Blocks) {
@@ -282,102 +239,21 @@ func (m *Mesh) finish(sol *MeshSolution, v []float64, active []bool) {
 // block's current is drawn uniformly by the grid nodes under the block;
 // each active regulator injects through its R0 at its grid node.
 //
-// Solve is direct: the nodal matrix depends only on the mask, so its
-// banded Cholesky factorization is looked up in a per-mask LRU (factored
-// on miss) and the load vector is re-solved by substitution. SolveSOR
-// retains the iterative solver for cross-validation.
+// Solve is direct: it factors the banded nodal matrix and substitutes
+// the load vector on every call.
 func (m *Mesh) Solve(blockCurrent []float64, active []bool) (*MeshSolution, error) {
 	load, srcG, err := m.prepare(blockCurrent, active)
 	if err != nil {
 		return nil, err
 	}
-	key := MaskKey(active)
-	f, ok := m.factors.get(key)
-	if !ok {
-		f, err = m.factorize(srcG, 1/m.cfg.SheetOhm)
-		if err != nil {
-			return nil, err
-		}
-		m.factors.put(key, f)
+	f, err := m.factorize(srcG, 1/m.cfg.SheetOhm)
+	if err != nil {
+		return nil, err
 	}
 	// The substitution solves A·v = load in place: load becomes the drop
 	// field.
 	f.solve(load, m.nx)
 	sol := &MeshSolution{}
 	m.finish(sol, load, active)
-	return sol, nil
-}
-
-// CacheStats returns the cumulative factorization cache counters.
-func (m *Mesh) CacheStats() CacheStats {
-	if m.factors == nil {
-		return CacheStats{}
-	}
-	return m.factors.stats
-}
-
-// SolveSOR solves the same nodal system iteratively with successive
-// over-relaxation. It is the validation reference for the direct solver
-// (they must agree within the SOR tolerance) and the fallback for
-// configurations a direct factorization cannot represent.
-func (m *Mesh) SolveSOR(blockCurrent []float64, active []bool) (*MeshSolution, error) {
-	load, srcG, err := m.prepare(blockCurrent, active)
-	if err != nil {
-		return nil, err
-	}
-	d := &m.chip.Domains[m.domain]
-	n := m.nx * m.ny
-
-	// SOR over the nodal equations: for drop v (volts below nominal),
-	//   Σ_adj g·(v_i − v_j) + srcG_i·v_i = −load_i + 0
-	// i.e. current drawn lowers the node, sources pull it toward zero drop.
-	g := 1 / m.cfg.SheetOhm
-	v := make([]float64, n)
-	sol := &MeshSolution{}
-	for it := 1; it <= m.cfg.MaxIter; it++ {
-		var maxDelta float64
-		for idx := 0; idx < n; idx++ {
-			ix := idx % m.nx
-			iy := idx / m.nx
-			var gsum, isum float64
-			if ix > 0 {
-				gsum += g
-				isum += g * v[idx-1]
-			}
-			if ix < m.nx-1 {
-				gsum += g
-				isum += g * v[idx+1]
-			}
-			if iy > 0 {
-				gsum += g
-				isum += g * v[idx-m.nx]
-			}
-			if iy < m.ny-1 {
-				gsum += g
-				isum += g * v[idx+m.nx]
-			}
-			gsum += srcG[idx] // source node pulled toward zero drop
-			if !(gsum > 0) {
-				// A 1×1 mesh with no active regulator has no conductance
-				// anywhere; dividing would seed the solution with NaN.
-				return nil, fmt.Errorf("pdn: mesh node %d in %s is isolated (no neighbors, no source)", idx, d.Name)
-			}
-			vNew := (isum + load[idx]) / gsum
-			vNew = v[idx] + m.cfg.Omega*(vNew-v[idx])
-			if dlt := math.Abs(vNew - v[idx]); dlt > maxDelta {
-				maxDelta = dlt
-			}
-			v[idx] = vNew
-		}
-		sol.Iterations = it
-		if maxDelta < m.cfg.Tol {
-			break
-		}
-		if it == m.cfg.MaxIter {
-			return nil, fmt.Errorf("pdn: mesh solve for %s did not converge in %d iterations", d.Name, it)
-		}
-	}
-
-	m.finish(sol, v, active)
 	return sol, nil
 }

@@ -134,12 +134,15 @@ func terminal(s JobState) bool {
 
 // finish moves the job to a terminal state and wakes waiters. Callers
 // hold j.mu. Idempotent: a second terminal transition is ignored, so a
-// late cancel cannot clobber a completed job.
+// late cancel cannot clobber a completed job. A settled job never
+// resumes, so its parked checkpoint is dropped here for every terminal
+// state rather than held until the result TTL evicts the job.
 func (j *Job) finish(s JobState) bool {
 	if terminal(j.state) {
 		return false
 	}
 	j.state = s
+	j.ckpt = nil
 	j.settledAt = time.Now()
 	j.stream.Close()
 	close(j.done)

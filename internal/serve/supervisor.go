@@ -356,11 +356,11 @@ func (s *Supervisor) cancelJob(j *Job, cause error) {
 			kids = append(kids, j.children...)
 		}
 	case StateQueued, StateParked:
+		s.canceled.Add(1) // before finish closes Done, as in runJob
 		settled = j.finish(StateCanceled)
 	}
 	j.mu.Unlock()
 	if settled {
-		s.canceled.Add(1)
 		// A queued/parked job has no worker to run its settlement:
 		// notify sweep parents (the pending decrement) and drop the
 		// spool entry here, mirroring runJob's cancel path.
@@ -516,20 +516,21 @@ func (s *Supervisor) runJob(worker int, j *Job) {
 		}
 	}
 
+	// Each settling branch counts the job before finish closes Done, so a
+	// caller woken by Done reads Stats that already include it.
 	j.mu.Lock()
 	j.cancel = nil
 	switch {
 	case err == nil:
 		j.result = res
-		j.ckpt = nil
+		s.completed.Add(1)
 		j.finish(StateDone)
 		j.mu.Unlock()
-		s.completed.Add(1)
 
 	case ce != nil && errors.Is(ce.Cause, causeClientCancel):
+		s.canceled.Add(1)
 		j.finish(StateCanceled)
 		j.mu.Unlock()
-		s.canceled.Add(1)
 
 	case ce != nil:
 		if ckpt != nil {
@@ -550,12 +551,12 @@ func (s *Supervisor) runJob(worker int, j *Job) {
 		var crash *crashError
 		panicked := errors.As(err, &crash)
 		j.failure = &Failure{Error: err.Error(), Panicked: panicked}
-		j.finish(StateFailed)
-		j.mu.Unlock()
 		if panicked {
 			s.crashes.Add(1)
 		}
 		s.failed.Add(1)
+		j.finish(StateFailed)
+		j.mu.Unlock()
 	}
 	s.jobSettled(j)
 }

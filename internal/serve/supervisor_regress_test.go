@@ -320,3 +320,57 @@ func TestDrainLeavesNoTimersOrGoroutines(t *testing.T) {
 	}
 	t.Errorf("goroutines leaked past drain: %d before, %d after", before, runtime.NumGoroutine())
 }
+
+// TestCancelParkedJobDropsCheckpoint: a job preempted behind another and
+// canceled while it waits with its parked checkpoint settles without
+// retaining that checkpoint until the result TTL.
+func TestCancelParkedJobDropsCheckpoint(t *testing.T) {
+	sup := newTestSupervisor(t, Config{Workers: 1})
+	j, _, err := sup.Submit(longSpec(930))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j, StateRunning)
+	waitStreamLen(t, j, 2048)
+	// A preempted job requeues behind next, so it waits with its
+	// checkpoint while next runs.
+	next, _, err := sup.Submit(longSpec(931))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := sup.Cancel(next.ID); err != nil {
+			t.Error(err)
+		}
+		<-next.Done()
+	}()
+	if err := sup.Preempt(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		j.mu.Lock()
+		parked := j.state == StateQueued && j.ckpt != nil
+		j.mu.Unlock()
+		if parked {
+			break
+		}
+		if terminal(j.State()) || time.Now().After(deadline) {
+			t.Fatalf("job never parked with a checkpoint (state %s)", j.State())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := sup.Cancel(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	if st := j.State(); st != StateCanceled {
+		t.Fatalf("state %s, want canceled", st)
+	}
+	j.mu.Lock()
+	held := len(j.ckpt)
+	j.mu.Unlock()
+	if held != 0 {
+		t.Errorf("canceled job retains a %d-byte checkpoint", held)
+	}
+}

@@ -15,9 +15,9 @@ import (
 // block under it, regulator losses are injected into the single cell
 // containing the regulator, and heat conducts laterally between adjacent
 // cells, vertically into the spreader layer, and out through the lumped
-// sink. It resolves intra-block temperature structure the compact model
-// cannot (regulator hotspots narrower than a block), and the test suite
-// uses it to validate the compact model's block temperatures.
+// sink. It is a steady-state validator: the differential tests compare
+// the compact model's block and regulator temperatures against it, and
+// nothing in the control loop calls it.
 type GridModel struct {
 	chip *floorplan.Chip
 	cfg  Config
@@ -32,7 +32,6 @@ type GridModel struct {
 	cellBlock []int     // block ID under each die cell
 	power     []float64 // W per node
 	temp      []float64 // °C per node
-	delta     []float64 // scratch buffer for Step
 
 	gLatDie    float64 // lateral conductance between adjacent die cells
 	gLatSpread float64
@@ -100,12 +99,11 @@ func NewGridModel(chip *floorplan.Chip, cfg Config, nx, ny int) (*GridModel, err
 			g.gVert, g.gSink, g.ambientG)
 	}
 
-	g.Reset(cfg.AmbientC)
+	for i := range g.temp {
+		g.temp[i] = cfg.AmbientC
+	}
 	return g, nil
 }
-
-// Size returns the lattice dimensions.
-func (g *GridModel) Size() (nx, ny int) { return g.nx, g.ny }
 
 func (g *GridModel) cellCenter(idx int) floorplan.Point {
 	ix := idx % g.nx
@@ -114,103 +112,6 @@ func (g *GridModel) cellCenter(idx int) floorplan.Point {
 		X: (float64(ix) + 0.5) * g.cw,
 		Y: (float64(iy) + 0.5) * g.ch,
 	}
-}
-
-// Reset sets every node to the given temperature.
-func (g *GridModel) Reset(tempC float64) {
-	for i := range g.temp {
-		g.temp[i] = tempC
-	}
-}
-
-// Step advances the transient solution by dtS seconds with substepped
-// explicit Euler, mirroring the compact model's integrator at grid
-// resolution.
-func (g *GridModel) Step(dtS float64) error {
-	if dtS <= 0 {
-		return fmt.Errorf("thermal: non-positive step %v", dtS)
-	}
-	cellArea := g.cw * g.ch
-	cDie := g.cfg.CSiJPerMM3K * cellArea * g.cfg.DieThicknessMM
-	cSp := g.cfg.CCuJPerMM3K * cellArea * g.cfg.SpreaderThicknessMM
-	if !(cDie > 0) || !(cSp > 0) {
-		return fmt.Errorf("thermal: non-positive cell heat capacity (cDie=%v cSp=%v)", cDie, cSp)
-	}
-	// Stability: the fastest node rate bounds the substep.
-	dieRate := (4*g.gLatDie + g.gVert) / cDie
-	spRate := (4*g.gLatSpread + g.gVert + g.gSink) / cSp
-	maxRate := math.Max(dieRate, spRate)
-	sub := math.Min(g.cfg.MaxEulerStepS, 0.5/maxRate)
-	if !(maxRate > 0) || !(sub > 0) {
-		// maxRate = +Inf (zero capacity) or MaxEulerStepS ≤ 0 would make
-		// the substep count meaningless.
-		return fmt.Errorf("thermal: degenerate substep %v (maxRate=%v)", sub, maxRate)
-	}
-	steps := int(math.Ceil(dtS / sub))
-	h := dtS / float64(steps)
-	if invariant.Enabled {
-		invariant.CheckStability("thermal.GridModel substep", h, maxRate)
-	}
-
-	if g.delta == nil {
-		g.delta = make([]float64, len(g.temp))
-	}
-	for s := 0; s < steps; s++ {
-		// Die layer.
-		for idx := 0; idx < g.n; idx++ {
-			ix := idx % g.nx
-			iy := idx / g.nx
-			q := g.power[idx] + g.gVert*(g.temp[g.n+idx]-g.temp[idx])
-			if ix > 0 {
-				q += g.gLatDie * (g.temp[idx-1] - g.temp[idx])
-			}
-			if ix < g.nx-1 {
-				q += g.gLatDie * (g.temp[idx+1] - g.temp[idx])
-			}
-			if iy > 0 {
-				q += g.gLatDie * (g.temp[idx-g.nx] - g.temp[idx])
-			}
-			if iy < g.ny-1 {
-				q += g.gLatDie * (g.temp[idx+g.nx] - g.temp[idx])
-			}
-			g.delta[idx] = h * q / cDie
-		}
-		// Spreader layer.
-		for idx := 0; idx < g.n; idx++ {
-			sp := g.n + idx
-			ix := idx % g.nx
-			iy := idx / g.nx
-			q := g.gVert*(g.temp[idx]-g.temp[sp]) + g.gSink*(g.temp[g.sink]-g.temp[sp])
-			if ix > 0 {
-				q += g.gLatSpread * (g.temp[sp-1] - g.temp[sp])
-			}
-			if ix < g.nx-1 {
-				q += g.gLatSpread * (g.temp[sp+1] - g.temp[sp])
-			}
-			if iy > 0 {
-				q += g.gLatSpread * (g.temp[sp-g.nx] - g.temp[sp])
-			}
-			if iy < g.ny-1 {
-				q += g.gLatSpread * (g.temp[sp+g.nx] - g.temp[sp])
-			}
-			g.delta[sp] = h * q / cSp
-		}
-		// Sink node: a whole-lattice reduction in spreader index order.
-		{
-			q := g.ambientG * (g.cfg.AmbientC - g.temp[g.sink])
-			for idx := 0; idx < g.n; idx++ {
-				q += g.gSink * (g.temp[g.n+idx] - g.temp[g.sink])
-			}
-			g.delta[g.sink] = h * q / g.cfg.SinkCapJPerK
-		}
-		for i := range g.temp {
-			g.temp[i] += g.delta[i]
-		}
-	}
-	if invariant.Enabled {
-		invariant.CheckTempBounds("thermal.GridModel.temp", g.temp, g.cfg.AmbientC, math.Inf(1))
-	}
-	return nil
 }
 
 // SetPower distributes the block power map over the die cells (area
@@ -232,24 +133,19 @@ func (g *GridModel) SetPower(blockPower, vrPower []float64) error {
 			g.power[idx] = blockPower[bid] / float64(cells[bid])
 		}
 	}
-	for ri, reg := range g.chip.Regulators {
-		ix := int(reg.Pos.X / g.cw)
-		iy := int(reg.Pos.Y / g.ch)
-		if ix < 0 {
-			ix = 0
-		}
-		if ix >= g.nx {
-			ix = g.nx - 1
-		}
-		if iy < 0 {
-			iy = 0
-		}
-		if iy >= g.ny {
-			iy = g.ny - 1
-		}
-		g.power[iy*g.nx+ix] += vrPower[ri]
+	for ri := range g.chip.Regulators {
+		g.power[g.vrCell(ri)] += vrPower[ri]
 	}
 	return nil
+}
+
+// vrCell is the index of the die cell containing regulator r: the cell
+// SetPower injects its loss into and VRTemp reads.
+func (g *GridModel) vrCell(r int) int {
+	pos := g.chip.Regulators[r].Pos
+	ix := min(max(int(pos.X/g.cw), 0), g.nx-1)
+	iy := min(max(int(pos.Y/g.ch), 0), g.ny-1)
+	return iy*g.nx + ix
 }
 
 // SteadyState relaxes the lattice to equilibrium with Gauss-Seidel,
@@ -289,7 +185,7 @@ func (g *GridModel) SteadyState(tolC float64, maxIter int) (int, error) {
 			if d := math.Abs(tNew - g.temp[idx]); d > maxDelta {
 				maxDelta = d
 			}
-			//lint:ignore nanflow den >= gVert+gSink > 0, validated in NewGrid
+			//lint:ignore nanflow den >= gVert+gSink > 0, validated in NewGridModel
 			g.temp[idx] = tNew
 		}
 		// Spreader layer.
@@ -319,7 +215,7 @@ func (g *GridModel) SteadyState(tolC float64, maxIter int) (int, error) {
 			if d := math.Abs(tNew - g.temp[s]); d > maxDelta {
 				maxDelta = d
 			}
-			//lint:ignore nanflow den >= gVert+gSink > 0, validated in NewGrid
+			//lint:ignore nanflow den >= gVert+gSink > 0, validated in NewGridModel
 			g.temp[s] = tNew
 		}
 		// Sink node.
@@ -334,7 +230,7 @@ func (g *GridModel) SteadyState(tolC float64, maxIter int) (int, error) {
 			if d := math.Abs(tNew - g.temp[g.sink]); d > maxDelta {
 				maxDelta = d
 			}
-			//lint:ignore nanflow den >= ambientG > 0, validated in NewGrid
+			//lint:ignore nanflow den >= ambientG > 0, validated in NewGridModel
 			g.temp[g.sink] = tNew
 		}
 		if maxDelta < tolC {
@@ -345,11 +241,6 @@ func (g *GridModel) SteadyState(tolC float64, maxIter int) (int, error) {
 		}
 	}
 	return maxIter, errors.New("thermal: grid steady state did not converge")
-}
-
-// CellTemp returns the die temperature of cell (ix, iy).
-func (g *GridModel) CellTemp(ix, iy int) float64 {
-	return g.temp[iy*g.nx+ix]
 }
 
 // SinkTemp returns the sink node temperature.
@@ -366,6 +257,9 @@ func (g *GridModel) MaxTemp() (float64, floorplan.Point) {
 	return best, g.cellCenter(at)
 }
 
+// VRTemp returns the die temperature of the cell containing regulator r.
+func (g *GridModel) VRTemp(r int) float64 { return g.temp[g.vrCell(r)] }
+
 // BlockTemp returns the area-average die temperature of a block.
 func (g *GridModel) BlockTemp(block int) float64 {
 	var sum float64
@@ -380,15 +274,4 @@ func (g *GridModel) BlockTemp(block int) float64 {
 		return math.NaN()
 	}
 	return sum / float64(n)
-}
-
-// HeatMap returns a copy of the die layer as rows of cells.
-func (g *GridModel) HeatMap() [][]float64 {
-	out := make([][]float64, g.ny)
-	for iy := 0; iy < g.ny; iy++ {
-		row := make([]float64, g.nx)
-		copy(row, g.temp[iy*g.nx:(iy+1)*g.nx])
-		out[iy] = row
-	}
-	return out
 }
