@@ -62,12 +62,12 @@ fuzz:
 	$(GO) test -tags tgsan -run '^$$' -fuzz FuzzSimConfig -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -tags tgsan -run '^$$' -fuzz FuzzJSONLEncoding -fuzztime $(FUZZTIME) ./internal/telemetry/
 
-# Chaos gate: every fault model under the sanitizer, kill-and-resume
+# Chaos gate: every fault model under the sanitizer, cancel-and-resume
 # byte-identity, degraded policy ladders, and the tolerant sweep paths
 # (see docs/ROBUSTNESS.md). A local entry point: `make sanitize` runs
 # these tests too.
 chaos:
-	$(GO) test -tags tgsan -run 'TestFaultMatrix|TestCheckpoint|TestDegraded|TestSweepKeepGoing|TestSweepRecoversPanic|TestSweepAllCellsFailed|TestWatchdog' ./internal/sim/ ./internal/experiments/ ./internal/thermal/
+	$(GO) test -tags tgsan -run 'TestFaultMatrix|TestCheckpoint|TestRunContext|TestDegraded|TestSweepKeepGoing|TestSweepRecoversPanic|TestSweepAllCellsFailed|TestWatchdog' ./internal/sim/ ./internal/experiments/ ./internal/thermal/
 
 # Service chaos gate: panic jobs mid-stream, preempt, drain/restart, abuse
 # the streaming path, then verify no job was lost, duplicated, or made

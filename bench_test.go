@@ -2,7 +2,7 @@
 // (one benchmark per artefact, as indexed in DESIGN.md), plus ablations of
 // the reproduction's own design choices and micro-benchmarks of the hot
 // simulation paths. Artefact benchmarks use shortened runs (the full-length
-// evaluation is driven by cmd/tgsweep); reported custom metrics carry the
+// evaluation is `thermogater -experiment sweep -duration 3000`); reported custom metrics carry the
 // headline quantity of each artefact.
 package thermogater
 

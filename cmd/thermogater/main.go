@@ -1,10 +1,13 @@
 // Command thermogater runs the reproduction's experiments and single
 // simulations from the command line.
 //
-// Regenerate a figure or table of the paper:
+// Regenerate a figure or table of the paper, the six artefacts of the
+// full policy sweep (Figs. 7, 9, 10, 11, Table 2 and the Section 6.3
+// headline), or everything:
 //
 //	thermogater -experiment fig9 -duration 500
 //	thermogater -experiment table2
+//	thermogater -experiment sweep -duration 3000
 //	thermogater -experiment all
 //
 // Run one benchmark under one policy:
@@ -17,12 +20,11 @@
 //	thermogater -run pracVT -bench lu_ncb -cpuprofile cpu.out
 //	thermogater -experiment fig9 -pprof localhost:6060
 //
-// Inject faults and checkpoint/resume a single run (see
-// docs/ROBUSTNESS.md):
+// Inject faults into a single run or into every run of an experiment
+// (see docs/ROBUSTNESS.md):
 //
 //	thermogater -run pracT -bench lu_ncb -faults 'vr-stuck-off@30:unit=12'
-//	thermogater -run pracVT -bench lu_ncb -checkpoint run.ckpt -checkpoint-every 200
-//	thermogater -run pracVT -bench lu_ncb -resume run.ckpt
+//	thermogater -experiment sweep -faults 'sensor-noise@0:value=0.1'
 //
 // List what is available:
 //
@@ -41,9 +43,9 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
-	"time"
 
 	"thermogater/internal/core"
 	"thermogater/internal/experiments"
@@ -56,7 +58,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "", "experiment to regenerate: fig1,fig2,fig5..fig15,table2,headline,aging,dvfs,all")
+		experiment = flag.String("experiment", "", "experiment to regenerate: fig1,fig2,fig5..fig15,table2,headline,aging,dvfs,sweep,all")
 		runPolicy  = flag.String("run", "", "run a single simulation under this policy")
 		bench      = flag.String("bench", "lu_ncb", "benchmark for -run")
 		profile    = flag.String("profile", "", "JSON workload profile file for -run (overrides -bench)")
@@ -70,11 +72,7 @@ func main() {
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while running")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile covering the run to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile at exit to this file")
-		faults     = flag.String("faults", "", "fault schedule for -run, e.g. 'vr-stuck-off@30:unit=12;sensor-noise@0:value=0.1' (see docs/ROBUSTNESS.md)")
-		checkpoint = flag.String("checkpoint", "", "write periodic checkpoints of the -run simulation to this file")
-		ckptEvery  = flag.Int("checkpoint-every", 500, "checkpoint period in epochs for -checkpoint")
-		resume     = flag.String("resume", "", "resume the -run simulation from this checkpoint file")
-		frozen     = flag.Bool("frozen-clock", false, "pin telemetry clocks to the Unix epoch (byte-deterministic JSONL; for resume tests)")
+		faults     = flag.String("faults", "", "fault schedule armed in the -run simulation or in every run of -experiment, e.g. 'vr-stuck-off@30:unit=12;sensor-noise@0:value=0.1' (see docs/ROBUSTNESS.md)")
 	)
 	flag.Parse()
 
@@ -82,7 +80,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := execute(os.Stdout, options{
+	if err := execute(os.Stdout, os.Stderr, options{
 		experiment: strings.ToLower(*experiment),
 		runPolicy:  *runPolicy,
 		bench:      *bench,
@@ -98,10 +96,6 @@ func main() {
 		cpuProf:    *cpuProf,
 		memProf:    *memProf,
 		faults:     *faults,
-		checkpoint: *checkpoint,
-		ckptEvery:  *ckptEvery,
-		resume:     *resume,
-		frozen:     *frozen,
 	}); err != nil {
 		fatal(err)
 	}
@@ -123,23 +117,22 @@ type options struct {
 	cpuProf    string
 	memProf    string
 	faults     string
-	checkpoint string
-	ckptEvery  int
-	resume     string
-	frozen     bool
 }
 
-// execute wires up observability (telemetry registry, pprof endpoints,
-// profile capture), dispatches the requested work, and tears everything
-// down in order so deferred cleanups run even on error paths.
-func execute(w io.Writer, o options) error {
+// execute parses the fault schedule, wires up observability (telemetry
+// registry, pprof endpoints, profile capture), dispatches the requested
+// work, and tears everything down in order so deferred cleanups run even
+// on error paths. Results go to w, diagnostics to errw.
+func execute(w, errw io.Writer, o options) error {
+	// A malformed schedule fails here, before any file is created or any
+	// run starts.
+	sched, err := fault.ParseSchedule(o.faults)
+	if err != nil {
+		return err
+	}
 	var reg *telemetry.Registry
 	if o.metrics {
 		reg = telemetry.NewRegistry()
-		if o.frozen {
-			epoch := time.Unix(0, 0)
-			reg.SetClock(func() time.Time { return epoch })
-		}
 		for _, out := range []struct {
 			path string
 			mk   func(io.Writer) telemetry.Sink
@@ -159,14 +152,14 @@ func execute(w io.Writer, o options) error {
 			// write of the metrics file is reported, not swallowed.
 			defer func() {
 				if err := f.Close(); err != nil {
-					fmt.Fprintln(os.Stderr, "thermogater: metrics file:", err)
+					fmt.Fprintln(errw, "thermogater: metrics file:", err)
 				}
 			}()
 			reg.AddSink(out.mk(f))
 		}
 		defer func() {
 			if err := reg.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "thermogater: telemetry:", err)
+				fmt.Fprintln(errw, "thermogater: telemetry:", err)
 			}
 		}()
 	}
@@ -174,10 +167,10 @@ func execute(w io.Writer, o options) error {
 	if o.pprofAddr != "" {
 		go func() {
 			if err := http.ListenAndServe(o.pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "thermogater: pprof server:", err)
+				fmt.Fprintln(errw, "thermogater: pprof server:", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "pprof: serving on http://%s/debug/pprof/\n", o.pprofAddr)
+		fmt.Fprintf(errw, "pprof: serving on http://%s/debug/pprof/\n", o.pprofAddr)
 	}
 	if o.cpuProf != "" {
 		f, err := os.Create(o.cpuProf)
@@ -186,7 +179,7 @@ func execute(w io.Writer, o options) error {
 		}
 		defer func() {
 			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "thermogater: cpu profile:", err)
+				fmt.Fprintln(errw, "thermogater: cpu profile:", err)
 			}
 		}()
 		if err := pprof.StartCPUProfile(f); err != nil {
@@ -198,28 +191,38 @@ func execute(w io.Writer, o options) error {
 		defer func() {
 			f, err := os.Create(o.memProf)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "thermogater: heap profile:", err)
+				fmt.Fprintln(errw, "thermogater: heap profile:", err)
 				return
 			}
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "thermogater: heap profile:", err)
+				fmt.Fprintln(errw, "thermogater: heap profile:", err)
 			}
 			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "thermogater: heap profile:", err)
+				fmt.Fprintln(errw, "thermogater: heap profile:", err)
 			}
 		}()
 	}
 
-	var err error
 	switch {
 	case o.list:
 		listAll(w)
 	case o.runPolicy != "":
-		err = runSingle(w, reg, o)
+		err = runSingle(w, reg, sched, o)
 	case o.experiment != "":
 		opts := experiments.Options{DurationMS: o.duration, Seed: o.seed, Parallel: o.parallel, Telemetry: reg}
-		err = runExperiments(w, o.experiment, opts)
+		if sched != nil {
+			opts.Mutate = func(_ core.PolicyKind, _ workload.Profile, cfg *sim.Config) { cfg.Faults = sched }
+		}
+		err = runExperiments(w, errw, o.experiment, opts)
+	}
+	// SIGINT/SIGTERM stops a single run at the next epoch boundary: the
+	// telemetry flushes through the deferred close above, and the process
+	// exits 0 so supervisors treat the stop as clean.
+	var ce *sim.CancelError
+	if errors.As(err, &ce) {
+		fmt.Fprintf(errw, "thermogater: interrupted after epoch %d\n", ce.Epoch)
+		err = nil
 	}
 	if err != nil {
 		return err
@@ -237,7 +240,7 @@ func fatal(err error) {
 }
 
 func listAll(w io.Writer) {
-	fmt.Fprintln(w, "experiments: fig1 fig2 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 table2 headline aging dvfs all")
+	fmt.Fprintln(w, "experiments: fig1 fig2 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 table2 headline aging dvfs sweep all")
 	fmt.Fprint(w, "policies:   ")
 	for _, p := range core.AllPolicies() {
 		fmt.Fprintf(w, " %s", p)
@@ -250,26 +253,7 @@ func listAll(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// writeCheckpointFile atomically replaces path with the encoded snapshot,
-// so a kill mid-write leaves the previous checkpoint intact.
-func writeCheckpointFile(path string, cp *sim.Checkpoint) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := cp.Encode(f); err != nil {
-		//lint:ignore errsink the encode error is the one worth reporting
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-func runSingle(w io.Writer, reg *telemetry.Registry, o options) error {
+func runSingle(w io.Writer, reg *telemetry.Registry, sched *fault.Schedule, o options) error {
 	p, err := core.ParsePolicy(o.runPolicy)
 	if err != nil {
 		return err
@@ -298,61 +282,16 @@ func runSingle(w io.Writer, reg *telemetry.Registry, o options) error {
 	if o.duration > 0 {
 		cfg.DurationMS = o.duration
 	}
-	if o.faults != "" {
-		sched, err := fault.ParseSchedule(o.faults)
-		if err != nil {
-			return err
-		}
-		cfg.Faults = sched
-	}
-	if o.checkpoint != "" {
-		path := o.checkpoint
-		cfg.Checkpoint = sim.CheckpointConfig{
-			EveryEpochs: o.ckptEvery,
-			Sink: func(cp *sim.Checkpoint) error {
-				return writeCheckpointFile(path, cp)
-			},
-		}
-	}
+	cfg.Faults = sched
 	r, err := sim.New(cfg)
 	if err != nil {
 		return err
 	}
-	if o.resume != "" {
-		f, err := os.Open(o.resume)
-		if err != nil {
-			return err
-		}
-		//lint:ignore errsink read-only file: Close cannot lose data and its error carries no signal
-		defer f.Close()
-		cp, err := sim.ReadCheckpoint(f)
-		if err != nil {
-			return err
-		}
-		if err := r.Restore(cp); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "thermogater: resuming %s/%s from epoch %d\n", cp.Policy, cp.Benchmark, cp.Epoch+1)
-	}
 	// SIGINT/SIGTERM cancels the run at the next epoch boundary instead of
-	// killing the process mid-write: a final checkpoint lands (with
-	// -checkpoint), telemetry flushes through execute's deferred close,
-	// and the process exits 0 so supervisors treat the stop as clean.
+	// killing the process mid-write; execute reports the *sim.CancelError.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	res, err := r.RunContext(ctx)
-	var ce *sim.CancelError
-	if errors.As(err, &ce) {
-		if o.checkpoint != "" && ce.Checkpoint != nil {
-			if werr := writeCheckpointFile(o.checkpoint, ce.Checkpoint); werr != nil {
-				return fmt.Errorf("writing final checkpoint: %w", werr)
-			}
-			fmt.Fprintf(os.Stderr, "thermogater: interrupted after epoch %d; resume with -resume %s\n", ce.Epoch, o.checkpoint)
-		} else {
-			fmt.Fprintf(os.Stderr, "thermogater: interrupted after epoch %d (no -checkpoint file to resume from)\n", ce.Epoch)
-		}
-		return nil
-	}
 	if err != nil {
 		return err
 	}
@@ -386,29 +325,34 @@ func runSingle(w io.Writer, reg *telemetry.Registry, o options) error {
 	return t.Render(w)
 }
 
-// sweepSet lists the experiments that share the full policy sweep.
-var sweepSet = map[string]bool{
-	"fig7": true, "fig9": true, "fig10": true, "fig11": true,
-	"table2": true, "headline": true,
-}
+// sweepSet lists the experiments that share the full policy sweep, in
+// the order -experiment sweep renders them.
+var sweepSet = []string{"fig7", "fig9", "fig10", "fig11", "table2", "headline"}
 
-func runExperiments(w io.Writer, which string, opts experiments.Options) error {
-	ids := []string{which}
-	if which == "all" {
+// runExperiments renders the experiment which ("sweep" and "all" name
+// sets) to w. The sweep banner and every failed sweep cell go to errw; a
+// failed cell fails the command before any table prints.
+func runExperiments(w, errw io.Writer, which string, opts experiments.Options) error {
+	var ids []string
+	switch which {
+	case "sweep":
+		ids = sweepSet
+	case "all":
 		ids = []string{"fig1", "fig2", "fig5", "fig6", "fig7", "fig8", "fig9",
 			"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "table2", "headline"}
+	default:
+		ids = []string{which}
 	}
 	var sweep *experiments.Sweep
-	needSweep := false
-	for _, id := range ids {
-		if sweepSet[id] {
-			needSweep = true
-		}
-	}
-	if needSweep {
-		fmt.Fprintln(w, "running full policy sweep (14 benchmarks × 8 policies)...")
+	if slices.ContainsFunc(ids, func(id string) bool { return slices.Contains(sweepSet, id) }) {
+		fmt.Fprintln(errw, "running full policy sweep (14 benchmarks × 8 policies)...")
 		var err error
 		sweep, err = experiments.RunSweep(experiments.SweepPolicies(), opts)
+		if sweep != nil {
+			for _, f := range sweep.Failures {
+				fmt.Fprintln(errw, "thermogater: failed run:", f)
+			}
+		}
 		if err != nil {
 			return err
 		}

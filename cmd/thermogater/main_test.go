@@ -4,21 +4,26 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
 
+	"thermogater/internal/core"
 	"thermogater/internal/experiments"
 	"thermogater/internal/invariant"
+	"thermogater/internal/sim"
+	"thermogater/internal/workload"
 )
 
 func TestListAll(t *testing.T) {
 	var buf bytes.Buffer
 	listAll(&buf)
 	out := buf.String()
-	for _, want := range []string{"fig9", "table2", "aging", "dvfs", "pracVT", "cholesky"} {
+	for _, want := range []string{"fig9", "table2", "aging", "dvfs", "sweep", "pracVT", "cholesky"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("listing missing %q", want)
 		}
@@ -32,7 +37,7 @@ func single(policy, bench, profilePath string, duration int) options {
 
 func TestRunSingle(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runSingle(&buf, nil, single("oracT", "rayt", "", 60)); err != nil {
+	if err := runSingle(&buf, nil, nil, single("oracT", "rayt", "", 60)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -41,20 +46,20 @@ func TestRunSingle(t *testing.T) {
 			t.Errorf("run summary missing %q:\n%s", want, out)
 		}
 	}
-	if err := runSingle(&buf, nil, single("nope", "fft", "", 60)); err == nil {
+	if err := runSingle(&buf, nil, nil, single("nope", "fft", "", 60)); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if err := runSingle(&buf, nil, single("oracT", "nope", "", 60)); err == nil {
+	if err := runSingle(&buf, nil, nil, single("oracT", "nope", "", 60)); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	if err := runSingle(&buf, nil, single("oracT", "fft", "/does/not/exist.json", 60)); err == nil {
+	if err := runSingle(&buf, nil, nil, single("oracT", "fft", "/does/not/exist.json", 60)); err == nil {
 		t.Error("missing profile file accepted")
 	}
 }
 
 func TestRunSingleOffChipOmitsNoise(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runSingle(&buf, nil, single("off-chip", "rayt", "", 60)); err != nil {
+	if err := runSingle(&buf, nil, nil, single("off-chip", "rayt", "", 60)); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "voltage noise") {
@@ -66,7 +71,7 @@ func TestRunSingleFaultSchedule(t *testing.T) {
 	var buf bytes.Buffer
 	o := single("pracT", "fft", "", 60)
 	o.faults = "vr-stuck-off@25:unit=5;sensor-dropout@25+20:unit=5"
-	if err := runSingle(&buf, nil, o); err != nil {
+	if err := execute(&buf, io.Discard, o); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"fault events fired", "sensor fallbacks"} {
@@ -75,48 +80,40 @@ func TestRunSingleFaultSchedule(t *testing.T) {
 		}
 	}
 	o.faults = "not-a-fault@0"
-	if err := runSingle(&buf, nil, o); err == nil {
+	if err := execute(&buf, io.Discard, o); err == nil {
 		t.Error("malformed fault schedule accepted")
 	}
 }
 
-func TestRunSingleCheckpointAndResume(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.ckpt")
+// TestExperimentFaultsReachCells: -faults arms the schedule in every run
+// of an experiment, so a faulted experiment renders differently.
+func TestExperimentFaultsReachCells(t *testing.T) {
+	render := func(faults string) string {
+		var buf bytes.Buffer
+		if err := execute(&buf, io.Discard, options{experiment: "fig6", duration: 60, seed: 1, faults: faults}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	if render("vr-stuck-off@30:unit=12;sensor-noise@0:value=0.1") == render("") {
+		t.Error("faulted fig6 is identical to the unfaulted one: -faults never reached its runs")
+	}
+}
 
-	var buf bytes.Buffer
-	o := single("oracT", "fft", "", 60)
-	o.checkpoint = path
-	o.ckptEvery = 20
-	if err := runSingle(&buf, nil, o); err != nil {
-		t.Fatal(err)
+// TestMalformedFaultsRejectedBeforeRun: a bad schedule fails the command
+// before the sweep starts or any output file is created.
+func TestMalformedFaultsRejectedBeforeRun(t *testing.T) {
+	jsonl := filepath.Join(t.TempDir(), "m.jsonl")
+	var out, errOut bytes.Buffer
+	err := execute(&out, &errOut, options{experiment: "sweep", duration: 60, seed: 1, faults: "vr-stuck-off@30:unit=x", metrics: true, metricsOut: jsonl})
+	if err == nil {
+		t.Fatal("malformed fault schedule accepted")
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("checkpoint file not written: %v", err)
+	if out.Len() != 0 || errOut.Len() != 0 {
+		t.Errorf("output before rejection:\nstdout: %s\nstderr: %s", out.String(), errOut.String())
 	}
-
-	// Resuming from the last snapshot replays only the tail and must
-	// reach the same summary as the uninterrupted run.
-	var resumed bytes.Buffer
-	ro := single("oracT", "fft", "", 60)
-	ro.resume = path
-	if err := runSingle(&resumed, nil, ro); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != resumed.String() {
-		t.Errorf("resumed summary differs:\n--- full ---\n%s--- resumed ---\n%s", buf.String(), resumed.String())
-	}
-
-	ro.resume = filepath.Join(dir, "missing.ckpt")
-	if err := runSingle(&resumed, nil, ro); err == nil {
-		t.Error("missing checkpoint file accepted")
-	}
-
-	// A checkpoint from a different run identity must be rejected.
-	wrong := single("pracT", "fft", "", 60)
-	wrong.resume = path
-	if err := runSingle(&resumed, nil, wrong); err == nil {
-		t.Error("checkpoint restored into a different policy")
+	if _, err := os.Stat(jsonl); !os.IsNotExist(err) {
+		t.Errorf("metrics file created before rejection: %v", err)
 	}
 }
 
@@ -136,30 +133,69 @@ func TestRunExperimentStatic(t *testing.T) {
 	}
 }
 
+// TestSweepSetCoversSweepExperiments: -experiment sweep renders exactly
+// the six sweep-derived artefacts, each once, in the paper's order; the
+// banner goes to stderr.
 func TestSweepSetCoversSweepExperiments(t *testing.T) {
-	for _, id := range []string{"fig7", "fig9", "fig10", "fig11", "table2", "headline"} {
-		if !sweepSet[id] {
-			t.Errorf("%s not marked as sweep-derived", id)
+	want := []string{"fig7", "fig9", "fig10", "fig11", "table2", "headline"}
+	if !slices.Equal(sweepSet, want) {
+		t.Fatalf("sweepSet = %v, want %v", sweepSet, want)
+	}
+
+	var out, errOut bytes.Buffer
+	if err := runExperiments(&out, &errOut, "sweep", experiments.Options{DurationMS: 30, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(errOut.String(), "running full policy sweep") {
+		t.Errorf("sweep banner missing from stderr: %q", errOut.String())
+	}
+	header := regexp.MustCompile(`(?m)^(Fig\. \d+|Table \d+|Headline) — `)
+	var got []string
+	for _, m := range header.FindAllStringSubmatch(out.String(), -1) {
+		got = append(got, m[1])
+	}
+	if wantIDs := []string{"Fig. 7", "Fig. 9", "Fig. 10", "Fig. 11", "Table 2", "Headline"}; !slices.Equal(got, wantIDs) {
+		t.Errorf("-experiment sweep rendered %v, want %v", got, wantIDs)
+	}
+}
+
+// TestSweepFailedCellFailsCommand: a failed sweep cell is listed on
+// stderr and fails the command, and no partial table prints.
+func TestSweepFailedCellFailsCommand(t *testing.T) {
+	opts := experiments.Options{DurationMS: 30, Seed: 1}
+	opts.Mutate = func(p core.PolicyKind, b workload.Profile, cfg *sim.Config) {
+		if p == core.PracT && b.Name == "fft" {
+			cfg.WarmupEpochs = -1
 		}
 	}
-	if sweepSet["fig1"] {
-		t.Error("fig1 wrongly marked sweep-derived")
+	var out, errOut bytes.Buffer
+	if err := runExperiments(&out, &errOut, "sweep", opts); err == nil {
+		t.Fatal("sweep with a failed cell returned no error")
+	}
+	if !strings.Contains(errOut.String(), "thermogater: failed run: fft/pracT") {
+		t.Errorf("failed cell not listed on stderr:\n%s", errOut.String())
+	}
+	if strings.Count(errOut.String(), "failed run:") != 1 {
+		t.Errorf("want exactly one failed cell listed:\n%s", errOut.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("partial tables printed:\n%s", out.String())
 	}
 }
 
 func TestRunExperimentsNonSweepPath(t *testing.T) {
-	var buf bytes.Buffer
+	var buf, errOut bytes.Buffer
 	opts := experiments.Options{DurationMS: 60, Seed: 1}
-	if err := runExperiments(&buf, "fig5", opts); err != nil {
+	if err := runExperiments(&buf, &errOut, "fig5", opts); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Fig. 5") {
 		t.Error("output missing Fig. 5")
 	}
-	if strings.Contains(buf.String(), "running full policy sweep") {
+	if strings.Contains(errOut.String(), "running full policy sweep") {
 		t.Error("static experiment triggered the sweep")
 	}
-	if err := runExperiments(&buf, "fig99", opts); err == nil {
+	if err := runExperiments(&buf, &errOut, "fig99", opts); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -169,7 +205,7 @@ func TestExecuteMetricsJSONLStream(t *testing.T) {
 	jsonl := filepath.Join(dir, "m.jsonl")
 	csvPath := filepath.Join(dir, "m.csv")
 	var buf bytes.Buffer
-	err := execute(&buf, options{
+	err := execute(&buf, io.Discard, options{
 		runPolicy:  "oracT",
 		bench:      "fft",
 		duration:   60,
@@ -249,7 +285,7 @@ func TestExecuteCPUAndHeapProfiles(t *testing.T) {
 	cpu := filepath.Join(dir, "cpu.out")
 	heap := filepath.Join(dir, "heap.out")
 	var buf bytes.Buffer
-	err := execute(&buf, options{
+	err := execute(&buf, io.Discard, options{
 		runPolicy: "oracT",
 		bench:     "fft",
 		duration:  60,
@@ -275,7 +311,7 @@ func TestExecuteExperimentEmitsRunRecords(t *testing.T) {
 	dir := t.TempDir()
 	jsonl := filepath.Join(dir, "runs.jsonl")
 	var buf bytes.Buffer
-	err := execute(&buf, options{
+	err := execute(&buf, io.Discard, options{
 		experiment: "fig6",
 		duration:   60,
 		seed:       1,

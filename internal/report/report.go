@@ -77,35 +77,6 @@ func (t *Table) Render(w io.Writer) error {
 	return nil
 }
 
-// RenderMarkdown writes the table as GitHub-flavoured markdown.
-func (t *Table) RenderMarkdown(w io.Writer) error {
-	if len(t.Columns) == 0 {
-		return errors.New("report: table has no columns")
-	}
-	if _, err := fmt.Fprintf(w, "**%s — %s**\n\n", t.ID, t.Title); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(t.Columns, " | ")); err != nil {
-		return err
-	}
-	seps := make([]string, len(t.Columns))
-	for i := range seps {
-		seps[i] = "---"
-	}
-	if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(seps, " | ")); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if len(row) != len(t.Columns) {
-			return fmt.Errorf("report: row has %d cells, table has %d columns", len(row), len(t.Columns))
-		}
-		if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(row, " | ")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func pad(s string, w int) string {
 	n := utf8.RuneCountInString(s)
 	if n >= w {

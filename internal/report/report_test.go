@@ -124,27 +124,3 @@ func TestRenderHeatMap(t *testing.T) {
 		t.Error("empty grid rendered")
 	}
 }
-
-func TestRenderMarkdown(t *testing.T) {
-	tab := &Table{ID: "Fig. X", Title: "demo", Columns: []string{"a", "b"}}
-	tab.AddRow("1", "2")
-	var buf bytes.Buffer
-	if err := tab.RenderMarkdown(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"**Fig. X — demo**", "| a | b |", "| --- | --- |", "| 1 | 2 |"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("markdown missing %q:\n%s", want, out)
-		}
-	}
-	bad := &Table{ID: "x", Title: "y"}
-	if err := bad.RenderMarkdown(&buf); err == nil {
-		t.Error("no-column table rendered")
-	}
-	bad = &Table{ID: "x", Title: "y", Columns: []string{"a", "b"}}
-	bad.AddRow("only")
-	if err := bad.RenderMarkdown(&buf); err == nil {
-		t.Error("ragged row rendered")
-	}
-}

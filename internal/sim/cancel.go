@@ -11,9 +11,9 @@ import (
 // boundary that has a uarch snapshot — every epoch produced after the
 // request captures one — so Checkpoint is a complete, resumable state of
 // the interrupted run: restoring it into a fresh runner and calling
-// RunContext again continues the run byte-identically (the same
-// guarantee periodic checkpoints give, proven by checkpoint_test.go).
-// Cancellation lands within two epochs of the request.
+// RunContext again continues the run byte-identically (proven by
+// cancel_test.go). Cancellation is the only way a run is checkpointed;
+// it lands within two epochs of the request.
 //
 // Checkpoint is nil only when the run was canceled before any epoch
 // completed (during setup or the θ-profiling pass, which is cheap to

@@ -11,11 +11,13 @@ import (
 	"thermogater/internal/telemetry"
 )
 
-// TestRunContextCancelResumeByteIdentical is the cancellation twin of the
-// kill-and-resume oracle: a run canceled mid-flight through its context
-// must stop at an epoch boundary with a checkpoint in the CancelError, and
-// a fresh runner resumed from that checkpoint must stitch a telemetry
-// stream byte-identical to an uninterrupted run.
+// TestRunContextCancelResumeByteIdentical is the central resilience
+// oracle: a run canceled mid-flight through its context must stop at an
+// epoch boundary with a checkpoint in the CancelError, a fresh runner
+// resumed from that checkpoint must stitch a telemetry stream
+// byte-identical to an uninterrupted run, and the final Results must be
+// deeply equal. Any piece of cross-epoch state missing from Checkpoint
+// (an RNG, a WMA filter, an accumulator) diverges the stream here.
 func TestRunContextCancelResumeByteIdentical(t *testing.T) {
 	// seq: the runner's single serial epoch pipeline.
 	t.Run("seq", func(t *testing.T) {
@@ -114,6 +116,9 @@ func TestRunContextCancelResumeByteIdentical(t *testing.T) {
 		}
 		if !reflect.DeepEqual(resA, resC) {
 			t.Errorf("resumed result differs from uninterrupted result")
+		}
+		if resA.FaultEvents == 0 {
+			t.Error("fault schedule never fired — the test is not exercising injector state")
 		}
 	})
 }

@@ -22,28 +22,6 @@ import (
 // incompatible change to Checkpoint or the states it embeds.
 const CheckpointSchema = "thermogater/checkpoint/v1"
 
-// CheckpointConfig enables periodic run snapshots. After every
-// EveryEpochs-th completed epoch the runner assembles a Checkpoint and
-// hands it to Sink; a sink error aborts the run (which is also how the
-// kill-and-resume tests interrupt a run deterministically). The zero value
-// disables checkpointing.
-type CheckpointConfig struct {
-	// EveryEpochs is the snapshot period; 0 disables.
-	EveryEpochs int
-	// Sink receives each snapshot, e.g. writing it to disk via Encode.
-	Sink func(*Checkpoint) error
-}
-
-func (c CheckpointConfig) validate() error {
-	if c.EveryEpochs < 0 {
-		return errors.New("sim: negative checkpoint period")
-	}
-	if c.EveryEpochs > 0 && c.Sink == nil {
-		return errors.New("sim: checkpoint period set without a sink")
-	}
-	return nil
-}
-
 // MeasureState holds the measured-loop accumulators so a resumed run
 // continues the aggregation exactly where the interrupted one stopped.
 // All fields mirror what used to be locals of the epoch loop.
@@ -67,9 +45,11 @@ type MeasureState struct {
 // Checkpoint is a complete snapshot of a run after some epoch: every piece
 // of cross-epoch mutable state, from the activity simulator's RNGs to the
 // governor's predictor tables to the partially aggregated result. A run
+// takes one only when it is canceled (CancelError.Checkpoint); the
+// service parks preempted jobs and spools drained ones with it. A run
 // resumed from a checkpoint is bit-identical — including its streamed
-// telemetry records — to the same run never interrupted; the determinism
-// harness in checkpoint_test.go is the oracle for that claim.
+// telemetry records — to the same run never interrupted; the
+// cancel-and-resume test in cancel_test.go is the oracle for that claim.
 //
 // Deliberately NOT checkpointed (recomputed every epoch from checkpointed
 // state): the gating masks, the DVFS power-scaling factors, per-epoch

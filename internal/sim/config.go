@@ -96,9 +96,6 @@ type Config struct {
 	// governor stack degrades as documented in docs/ROBUSTNESS.md. Nil (the
 	// default) leaves the healthy path untouched.
 	Faults *fault.Schedule
-	// Checkpoint configures periodic state snapshots for resumable runs;
-	// the zero value disables checkpointing.
-	Checkpoint CheckpointConfig
 }
 
 // DefaultConfig returns the paper's operating point for the given policy
@@ -166,9 +163,6 @@ func (c Config) Validate() error {
 		if err := c.Faults.Validate(); err != nil {
 			return fmt.Errorf("sim: %w", err)
 		}
-	}
-	if err := c.Checkpoint.validate(); err != nil {
-		return err
 	}
 	if c.DVFS != nil {
 		if err := c.DVFS.Validate(); err != nil {

@@ -341,24 +341,19 @@ func (r *Runner) Chip() *floorplan.Chip { return r.chip }
 // produceEpoch advances the activity simulator one epoch, refilling the
 // runner's recycled frame buffer in place. Everything the physics loop
 // retains across epochs (stepCurrents, the worst-noise snapshot,
-// uarch.State) is copied out of the frames, never aliased. On checkpoint
-// epochs, and on every epoch once cancellation is requested, it also
-// returns the uarch snapshot the epoch's checkpoint resumes from.
+// uarch.State) is copied out of the frames, never aliased. Once
+// cancellation is requested it also returns the uarch snapshot the
+// cancellation checkpoint resumes from.
 func (r *Runner) produceEpoch(e int) ([]uarch.Frame, *uarch.State, error) {
 	for s := range r.frames {
 		if err := r.usim.StepInto(r.cfg.SubstepMS, &r.frames[s]); err != nil {
 			return nil, nil, err
 		}
 	}
-	if r.wantCheckpoint(e) || r.ctxErr() != nil {
+	if r.ctxErr() != nil {
 		return r.frames, r.usim.State(), nil
 	}
 	return r.frames, nil, nil
-}
-
-// wantCheckpoint reports whether epoch e ends at a checkpoint boundary.
-func (r *Runner) wantCheckpoint(e int) bool {
-	return r.cfg.Checkpoint.EveryEpochs > 0 && (e+1)%r.cfg.Checkpoint.EveryEpochs == 0
 }
 
 // averageActivity fills dst with the epoch-average per-block activity.
@@ -750,7 +745,7 @@ func (r *Runner) beginRun() error {
 // stepEpoch advances the measured run by one epoch: the activity frames,
 // the epoch-average demand, the governor decision, the substep
 // physics loop, the deferred PDN phase, epoch bookkeeping, telemetry and
-// checkpointing. In steady state — buffers sized, caches warm,
+// the cancellation stop. In steady state — buffers sized, caches warm,
 // telemetry detached — one call performs no heap allocation, and
 // internal/sim/alloc_test.go holds that line.
 func (r *Runner) stepEpoch(e int) error {
@@ -1129,20 +1124,10 @@ func (r *Runner) stepEpoch(e int) error {
 		}
 	}
 
-	// Periodic checkpoint: snapshot after the epoch's telemetry so the
-	// resumed run re-emits exactly the remaining records. A sink error
-	// aborts the run — it is also the hook the kill-and-resume tests
-	// use to interrupt deterministically.
-	if r.wantCheckpoint(e) {
-		r.ins.checkpoints.Inc()
-		if err := r.cfg.Checkpoint.Sink(r.snapshot(e, ustate, ms)); err != nil {
-			return fmt.Errorf("sim: checkpoint sink: %w", err)
-		}
-	}
-
 	// Cancellation stop: once the context is done, the first epoch that
 	// captured a uarch snapshot is the boundary the run halts at, with a
-	// complete resumable checkpoint in the error. An epoch whose frames
+	// complete resumable checkpoint in the error, taken after the epoch's
+	// telemetry so a resumed run re-emits exactly the remaining records. An epoch whose frames
 	// were produced before cancellation was requested has no snapshot and
 	// simply completes; the next one stops.
 	if r.ctxErr() != nil && ustate != nil {

@@ -82,8 +82,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Governor.EmergencyAccuracy = math.NaN() },
 		func(c *Config) { c.Governor.ThermalEmergencyC = math.NaN() },
 		func(c *Config) { c.Governor.ThermalEmergencyC = math.Inf(1) },
-		func(c *Config) { c.Checkpoint.EveryEpochs = -1 },
-		func(c *Config) { c.Checkpoint = CheckpointConfig{EveryEpochs: 5} }, // period without a sink
 		func(c *Config) {
 			c.Faults = &fault.Schedule{Events: []fault.Event{{Kind: fault.VRStuckOff, Epoch: -1}}}
 		},

@@ -47,7 +47,6 @@ type instruments struct {
 	traceGaps        *telemetry.Counter
 	thermalOverrides *telemetry.Counter
 	watchdogRetries  *telemetry.Counter
-	checkpoints      *telemetry.Counter
 	maskCacheHit     *telemetry.Counter
 	maskCacheMiss    *telemetry.Counter
 	maskCacheEvict   *telemetry.Counter
@@ -80,7 +79,6 @@ func newInstruments(reg *telemetry.Registry) *instruments {
 		traceGaps:        reg.Counter("trace_gap_frames_total"),
 		thermalOverrides: reg.Counter("governor_thermal_overrides_total"),
 		watchdogRetries:  reg.Counter("thermal_watchdog_retries_total"),
-		checkpoints:      reg.Counter("checkpoints_written_total"),
 		maskCacheHit:     reg.Counter("pdn_mask_cache_total", telemetry.L("kind", "hit")),
 		maskCacheMiss:    reg.Counter("pdn_mask_cache_total", telemetry.L("kind", "miss")),
 		maskCacheEvict:   reg.Counter("pdn_mask_cache_total", telemetry.L("kind", "evict")),

@@ -121,9 +121,6 @@ func TestThetaMemoKeyCoverage(t *testing.T) {
 		{"Governor", func(c *Config) { c.Governor = core.DefaultConfig(core.PracVT) }, true},
 		{"DVFS", func(c *Config) { d := dvfs.DefaultConfig(); c.DVFS = &d }, true},
 		{"TrackAging", func(c *Config) { c.TrackAging = true }, true},
-		{"Checkpoint", func(c *Config) {
-			c.Checkpoint = CheckpointConfig{EveryEpochs: 10, Sink: func(*Checkpoint) error { return nil }}
-		}, true},
 		{"Telemetry", func(c *Config) { c.Telemetry = telemetry.NewRegistry() }, true},
 		{"PDN", func(c *Config) { c.PDN.R0Ohm *= 1.1 }, true},
 		{"TraceEpochs", func(c *Config) { c.TraceEpochs = true }, true},

@@ -164,67 +164,6 @@ func csvCell(v any) string {
 	return fmt.Sprint(v)
 }
 
-// WriteSnapshotJSONL exports a full snapshot as one JSON line, suitable for
-// appending to the same stream a JSONLSink writes.
-func WriteSnapshotJSONL(w io.Writer, sn Snapshot) error {
-	b, err := json.Marshal(struct {
-		Record   string   `json:"record"`
-		Snapshot Snapshot `json:"snapshot"`
-	}{Record: "snapshot", Snapshot: sn})
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "%s\n", b)
-	return err
-}
-
-// WriteSnapshotCSV exports a snapshot as a flat CSV table with one row per
-// metric, histogram and span node: kind,key,value,count.
-func WriteSnapshotCSV(w io.Writer, sn Snapshot) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"kind", "key", "value", "count"}); err != nil {
-		return err
-	}
-	for _, c := range sn.Counters {
-		if err := cw.Write([]string{"counter", Key(c.Name, c.Labels), csvCell(c.Value), ""}); err != nil {
-			return err
-		}
-	}
-	for _, g := range sn.Gauges {
-		if err := cw.Write([]string{"gauge", Key(g.Name, g.Labels), csvCell(g.Value), ""}); err != nil {
-			return err
-		}
-	}
-	for _, h := range sn.Histograms {
-		if err := cw.Write([]string{"histogram", Key(h.Name, h.Labels), csvCell(h.Sum), strconv.FormatUint(h.Count, 10)}); err != nil {
-			return err
-		}
-	}
-	var walk func(prefix string, s SpanSnapshot) error
-	walk = func(prefix string, s SpanSnapshot) error {
-		key := s.Name
-		if prefix != "" {
-			key = prefix + "/" + s.Name
-		}
-		if err := cw.Write([]string{"span", key, strconv.FormatInt(s.TotalNS, 10), strconv.Itoa(s.Count)}); err != nil {
-			return err
-		}
-		for _, c := range s.Children {
-			if err := walk(key, c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, s := range sn.Spans {
-		if err := walk("", s); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // WriteSummary renders a snapshot as a human-readable summary: metric
 // tables plus an indented span tree with per-node share of its root.
 func WriteSummary(w io.Writer, sn Snapshot) error {

@@ -111,18 +111,6 @@ func TestCSVSinkGolden(t *testing.T) {
 func TestSnapshotExportGolden(t *testing.T) {
 	sn := fixtureRegistry(t).Snapshot()
 
-	var jsonl bytes.Buffer
-	if err := WriteSnapshotJSONL(&jsonl, sn); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "snapshot.jsonl.golden", jsonl.Bytes())
-
-	var csvOut bytes.Buffer
-	if err := WriteSnapshotCSV(&csvOut, sn); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "snapshot.csv.golden", csvOut.Bytes())
-
 	var summary bytes.Buffer
 	if err := WriteSummary(&summary, sn); err != nil {
 		t.Fatal(err)
