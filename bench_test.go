@@ -7,6 +7,7 @@
 package thermogater
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -72,7 +73,7 @@ func BenchmarkFig5Calibration(b *testing.B) {
 
 func BenchmarkFig6ActiveRegulators(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig6ActiveRegulators(benchOptions()); err != nil {
+		if _, err := experiments.Fig6ActiveRegulators(context.Background(), benchOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -90,7 +91,7 @@ func BenchmarkFig7PlossSaving(b *testing.B) {
 
 func BenchmarkFig8NaiveProfile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig8NaiveProfile(benchOptions()); err != nil {
+		if _, err := experiments.Fig8NaiveProfile(context.Background(), benchOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,7 +129,7 @@ func BenchmarkFig11VoltageNoise(b *testing.B) {
 
 func BenchmarkFig12HeatMaps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig12HeatMaps(benchOptions()); err != nil {
+		if _, err := experiments.Fig12HeatMaps(context.Background(), benchOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -136,7 +137,7 @@ func BenchmarkFig12HeatMaps(b *testing.B) {
 
 func BenchmarkFig13ActivityBins(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig13ActivityBins(benchOptions()); err != nil {
+		if _, err := experiments.Fig13ActivityBins(context.Background(), benchOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,7 +145,7 @@ func BenchmarkFig13ActivityBins(b *testing.B) {
 
 func BenchmarkFig14NoiseTransient(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig14NoiseTransient(benchOptions()); err != nil {
+		if _, err := experiments.Fig14NoiseTransient(context.Background(), benchOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,7 +153,7 @@ func BenchmarkFig14NoiseTransient(b *testing.B) {
 
 func BenchmarkFig15LDOvsFIVR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig15LDOvsFIVR(benchOptions()); err != nil {
+		if _, err := experiments.Fig15LDOvsFIVR(context.Background(), benchOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -382,7 +383,7 @@ func BenchmarkAblationThermalModel(b *testing.B) {
 			if _, err := m.SteadyState(1e-5, 0); err != nil {
 				b.Fatal(err)
 			}
-			tmax, _ = m.MaxTemp()
+			tmax, _, _ = m.Extremes()
 		}
 		b.ReportMetric(tmax, "Tmax°C")
 	})

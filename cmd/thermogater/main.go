@@ -32,6 +32,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -204,21 +205,27 @@ func execute(w, errw io.Writer, o options) error {
 		}()
 	}
 
+	// SIGINT/SIGTERM cancels the work at the next epoch boundary of every
+	// run in flight instead of killing the process mid-write, so the
+	// telemetry flushes through the deferred close above.
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
 	switch {
 	case o.list:
 		listAll(w)
 	case o.runPolicy != "":
-		err = runSingle(w, reg, sched, o)
+		err = runSingle(ctx, w, reg, sched, o)
 	case o.experiment != "":
 		opts := experiments.Options{DurationMS: o.duration, Seed: o.seed, Parallel: o.parallel, Telemetry: reg}
 		if sched != nil {
 			opts.Mutate = func(_ core.PolicyKind, _ workload.Profile, cfg *sim.Config) { cfg.Faults = sched }
 		}
-		err = runExperiments(w, errw, o.experiment, opts)
+		err = runExperiments(ctx, w, errw, o.experiment, opts)
 	}
-	// SIGINT/SIGTERM stops a single run at the next epoch boundary: the
-	// telemetry flushes through the deferred close above, and the process
-	// exits 0 so supervisors treat the stop as clean.
+	// An interrupted single run reports the epoch it stopped at and exits
+	// 0 so supervisors treat the stop as clean. An interrupted experiment
+	// has no complete artefact to show: runExperiments prints no table
+	// and fails the command.
 	var ce *sim.CancelError
 	if errors.As(err, &ce) {
 		fmt.Fprintf(errw, "thermogater: interrupted after epoch %d\n", ce.Epoch)
@@ -253,7 +260,7 @@ func listAll(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-func runSingle(w io.Writer, reg *telemetry.Registry, sched *fault.Schedule, o options) error {
+func runSingle(ctx context.Context, w io.Writer, reg *telemetry.Registry, sched *fault.Schedule, o options) error {
 	p, err := core.ParsePolicy(o.runPolicy)
 	if err != nil {
 		return err
@@ -287,10 +294,6 @@ func runSingle(w io.Writer, reg *telemetry.Registry, sched *fault.Schedule, o op
 	if err != nil {
 		return err
 	}
-	// SIGINT/SIGTERM cancels the run at the next epoch boundary instead of
-	// killing the process mid-write; execute reports the *sim.CancelError.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
 	res, err := r.RunContext(ctx)
 	if err != nil {
 		return err
@@ -329,10 +332,29 @@ func runSingle(w io.Writer, reg *telemetry.Registry, sched *fault.Schedule, o op
 // the order -experiment sweep renders them.
 var sweepSet = []string{"fig7", "fig9", "fig10", "fig11", "table2", "headline"}
 
+// errInterrupted fails an experiment command stopped by SIGINT/SIGTERM.
+var errInterrupted = errors.New("interrupted; no tables printed")
+
 // runExperiments renders the experiment which ("sweep" and "all" name
-// sets) to w. The sweep banner and every failed sweep cell go to errw; a
-// failed cell fails the command before any table prints.
-func runExperiments(w, errw io.Writer, which string, opts experiments.Options) error {
+// sets) to w. The sweep banner and every failed sweep cell go to errw.
+// The tables are written to w only once every experiment has succeeded:
+// a failed cell, a failed experiment or a canceled ctx fails the command
+// with no table printed.
+func runExperiments(ctx context.Context, w, errw io.Writer, which string, opts experiments.Options) error {
+	var out bytes.Buffer
+	if err := renderExperiments(ctx, &out, errw, which, opts); err != nil {
+		if ctx.Err() != nil {
+			return errInterrupted
+		}
+		return err
+	}
+	_, err := out.WriteTo(w)
+	return err
+}
+
+// renderExperiments runs the experiments and renders their tables to w,
+// stopping at the first error.
+func renderExperiments(ctx context.Context, w, errw io.Writer, which string, opts experiments.Options) error {
 	var ids []string
 	switch which {
 	case "sweep":
@@ -347,7 +369,7 @@ func runExperiments(w, errw io.Writer, which string, opts experiments.Options) e
 	if slices.ContainsFunc(ids, func(id string) bool { return slices.Contains(sweepSet, id) }) {
 		fmt.Fprintln(errw, "running full policy sweep (14 benchmarks × 8 policies)...")
 		var err error
-		sweep, err = experiments.RunSweep(experiments.SweepPolicies(), opts)
+		sweep, err = experiments.RunSweepContext(ctx, experiments.SweepPolicies(), opts)
 		if sweep != nil {
 			for _, f := range sweep.Failures {
 				fmt.Fprintln(errw, "thermogater: failed run:", f)
@@ -358,7 +380,7 @@ func runExperiments(w, errw io.Writer, which string, opts experiments.Options) e
 		}
 	}
 	for _, id := range ids {
-		if err := runExperiment(w, id, opts, sweep); err != nil {
+		if err := runExperiment(ctx, w, id, opts, sweep); err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
 		fmt.Fprintln(w)
@@ -366,7 +388,7 @@ func runExperiments(w, errw io.Writer, which string, opts experiments.Options) e
 	return nil
 }
 
-func runExperiment(w io.Writer, id string, opts experiments.Options, sweep *experiments.Sweep) error {
+func runExperiment(ctx context.Context, w io.Writer, id string, opts experiments.Options, sweep *experiments.Sweep) error {
 	renderFig := func(f *report.Figure, err error) error {
 		if err != nil {
 			return err
@@ -387,11 +409,11 @@ func runExperiment(w io.Writer, id string, opts experiments.Options, sweep *expe
 	case "fig5":
 		return renderFig(experiments.Fig5Calibration())
 	case "fig6":
-		return renderFig(experiments.Fig6ActiveRegulators(opts))
+		return renderFig(experiments.Fig6ActiveRegulators(ctx, opts))
 	case "fig7":
 		return renderTab(sweep.Fig7PlossSaving())
 	case "fig8":
-		return renderFig(experiments.Fig8NaiveProfile(opts))
+		return renderFig(experiments.Fig8NaiveProfile(ctx, opts))
 	case "fig9":
 		return renderTab(sweep.Fig9Tmax())
 	case "fig10":
@@ -399,7 +421,7 @@ func runExperiment(w io.Writer, id string, opts experiments.Options, sweep *expe
 	case "fig11":
 		return renderTab(sweep.Fig11VoltageNoise())
 	case "fig12":
-		frames, err := experiments.Fig12HeatMaps(opts)
+		frames, err := experiments.Fig12HeatMaps(ctx, opts)
 		if err != nil {
 			return err
 		}
@@ -411,17 +433,17 @@ func runExperiment(w io.Writer, id string, opts experiments.Options, sweep *expe
 		}
 		return nil
 	case "fig13":
-		return renderFig(experiments.Fig13ActivityBins(opts))
+		return renderFig(experiments.Fig13ActivityBins(ctx, opts))
 	case "fig14":
-		return renderFig(experiments.Fig14NoiseTransient(opts))
+		return renderFig(experiments.Fig14NoiseTransient(ctx, opts))
 	case "fig15":
-		return renderFig(experiments.Fig15LDOvsFIVR(opts))
+		return renderFig(experiments.Fig15LDOvsFIVR(ctx, opts))
 	case "table2":
 		return renderTab(sweep.Table2Emergencies())
 	case "aging":
-		return renderTab(experiments.AgingComparison("lu_ncb", opts))
+		return renderTab(experiments.AgingComparison(ctx, "lu_ncb", opts))
 	case "dvfs":
-		return renderTab(experiments.DVFSComparison("raytrace", opts))
+		return renderTab(experiments.DVFSComparison(ctx, "raytrace", opts))
 	case "headline":
 		h, err := sweep.Headline(0.90)
 		if err != nil {

@@ -3,7 +3,9 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -37,7 +39,7 @@ func single(policy, bench, profilePath string, duration int) options {
 
 func TestRunSingle(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runSingle(&buf, nil, nil, single("oracT", "rayt", "", 60)); err != nil {
+	if err := runSingle(context.Background(), &buf, nil, nil, single("oracT", "rayt", "", 60)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -46,20 +48,20 @@ func TestRunSingle(t *testing.T) {
 			t.Errorf("run summary missing %q:\n%s", want, out)
 		}
 	}
-	if err := runSingle(&buf, nil, nil, single("nope", "fft", "", 60)); err == nil {
+	if err := runSingle(context.Background(), &buf, nil, nil, single("nope", "fft", "", 60)); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if err := runSingle(&buf, nil, nil, single("oracT", "nope", "", 60)); err == nil {
+	if err := runSingle(context.Background(), &buf, nil, nil, single("oracT", "nope", "", 60)); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	if err := runSingle(&buf, nil, nil, single("oracT", "fft", "/does/not/exist.json", 60)); err == nil {
+	if err := runSingle(context.Background(), &buf, nil, nil, single("oracT", "fft", "/does/not/exist.json", 60)); err == nil {
 		t.Error("missing profile file accepted")
 	}
 }
 
 func TestRunSingleOffChipOmitsNoise(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runSingle(&buf, nil, nil, single("off-chip", "rayt", "", 60)); err != nil {
+	if err := runSingle(context.Background(), &buf, nil, nil, single("off-chip", "rayt", "", 60)); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "voltage noise") {
@@ -121,11 +123,11 @@ func TestRunExperimentStatic(t *testing.T) {
 	var buf bytes.Buffer
 	opts := experiments.Options{DurationMS: 60, Seed: 1}
 	for _, id := range []string{"fig1", "fig2", "fig5"} {
-		if err := runExperiment(&buf, id, opts, nil); err != nil {
+		if err := runExperiment(context.Background(), &buf, id, opts, nil); err != nil {
 			t.Errorf("%s: %v", id, err)
 		}
 	}
-	if err := runExperiment(&buf, "fig99", opts, nil); err == nil {
+	if err := runExperiment(context.Background(), &buf, "fig99", opts, nil); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 	if !strings.Contains(buf.String(), "Fig. 2") {
@@ -143,7 +145,7 @@ func TestSweepSetCoversSweepExperiments(t *testing.T) {
 	}
 
 	var out, errOut bytes.Buffer
-	if err := runExperiments(&out, &errOut, "sweep", experiments.Options{DurationMS: 30, Seed: 1}); err != nil {
+	if err := runExperiments(context.Background(), &out, &errOut, "sweep", experiments.Options{DurationMS: 30, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(errOut.String(), "running full policy sweep") {
@@ -169,7 +171,7 @@ func TestSweepFailedCellFailsCommand(t *testing.T) {
 		}
 	}
 	var out, errOut bytes.Buffer
-	if err := runExperiments(&out, &errOut, "sweep", opts); err == nil {
+	if err := runExperiments(context.Background(), &out, &errOut, "sweep", opts); err == nil {
 		t.Fatal("sweep with a failed cell returned no error")
 	}
 	if !strings.Contains(errOut.String(), "thermogater: failed run: fft/pracT") {
@@ -183,10 +185,53 @@ func TestSweepFailedCellFailsCommand(t *testing.T) {
 	}
 }
 
+// TestInterruptedExperimentPrintsNoTable: a canceled context fails every
+// experiment kind with errInterrupted, no table printed and no cell
+// listed as failed — the sweep and a run-based figure canceled up front,
+// and "all" canceled at its first run after the sweep, when its static
+// figures have already rendered.
+func TestInterruptedExperimentPrintsNoTable(t *testing.T) {
+	check := func(which string, ctx context.Context, opts experiments.Options) {
+		t.Helper()
+		var out, errOut bytes.Buffer
+		err := runExperiments(ctx, &out, &errOut, which, opts)
+		if !errors.Is(err, errInterrupted) {
+			t.Errorf("%s: interrupted experiment returned %v, want errInterrupted", which, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: interrupted experiment printed tables:\n%s", which, out.String())
+		}
+		if strings.Contains(errOut.String(), "failed run:") {
+			t.Errorf("%s: canceled cells listed as failed:\n%s", which, errOut.String())
+		}
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, which := range []string{"sweep", "fig6"} {
+		check(which, canceled, experiments.Options{DurationMS: 30, Seed: 1})
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := experiments.Options{DurationMS: 30, Seed: 1, Parallel: 1}
+	cells := len(experiments.SweepPolicies()) * len(workload.Suite())
+	var runs int
+	opts.Mutate = func(core.PolicyKind, workload.Profile, *sim.Config) {
+		// One worker, so the calls are serial.
+		if runs++; runs == cells+1 {
+			cancel()
+		}
+	}
+	check("all", ctx, opts)
+	if runs <= cells {
+		t.Errorf("all: %d runs started, the sweep has %d cells; the post-sweep cancel never fired", runs, cells)
+	}
+}
+
 func TestRunExperimentsNonSweepPath(t *testing.T) {
 	var buf, errOut bytes.Buffer
 	opts := experiments.Options{DurationMS: 60, Seed: 1}
-	if err := runExperiments(&buf, &errOut, "fig5", opts); err != nil {
+	if err := runExperiments(context.Background(), &buf, &errOut, "fig5", opts); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Fig. 5") {
@@ -195,7 +240,7 @@ func TestRunExperimentsNonSweepPath(t *testing.T) {
 	if strings.Contains(errOut.String(), "running full policy sweep") {
 		t.Error("static experiment triggered the sweep")
 	}
-	if err := runExperiments(&buf, &errOut, "fig99", opts); err == nil {
+	if err := runExperiments(context.Background(), &buf, &errOut, "fig99", opts); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }

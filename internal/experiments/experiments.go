@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -79,15 +80,17 @@ func BenchmarkOrder() []string {
 	return names
 }
 
-// runOne executes a single configured simulation, emitting the per-run
-// aggregate record when the configuration carries a telemetry registry.
-func runOne(cfg sim.Config) (*sim.Result, error) {
+// runOne executes a single configured simulation under ctx, emitting the
+// per-run aggregate record when the configuration carries a telemetry
+// registry. A canceled ctx stops the run at its next epoch boundary with
+// a *sim.CancelError.
+func runOne(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
 	r, err := sim.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	sp := cfg.Telemetry.StartSpan("run")
-	res, err := r.Run()
+	res, err := r.RunContext(ctx)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -113,13 +116,13 @@ func runOne(cfg sim.Config) (*sim.Result, error) {
 
 // runCell runs one cell with panic containment: a panicking simulation
 // surfaces as an error like any other failure.
-func runCell(cfg sim.Config) (res *sim.Result, err error) {
+func runCell(ctx context.Context, cfg sim.Config) (res *sim.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("experiments: run panicked: %v", p)
 		}
 	}()
-	return runOne(cfg)
+	return runOne(ctx, cfg)
 }
 
 // RunError records one sweep cell that failed.
@@ -145,14 +148,22 @@ type Sweep struct {
 	Failures []RunError
 }
 
-// RunSweep executes the given policies over the whole benchmark suite
-// concurrently and collects the results. Every cell runs once: runs are
-// deterministic per configuration, so a retry would fail the same way. A
-// failed cell lands in Sweep.Failures while every other cell still
-// completes; if any failed, RunSweep returns the partial sweep together
-// with an error naming the failure count and the first failure. It
-// returns a nil sweep only for invalid input.
+// RunSweep is RunSweepContext with a background (never-canceled) context.
 func RunSweep(policies []core.PolicyKind, opts Options) (*Sweep, error) {
+	return RunSweepContext(context.Background(), policies, opts)
+}
+
+// RunSweepContext executes the given policies over the whole benchmark
+// suite concurrently and collects the results. Every cell runs once: runs
+// are deterministic per configuration, so a retry would fail the same
+// way. A failed cell lands in Sweep.Failures while every other cell still
+// completes; if any failed, RunSweepContext returns the partial sweep
+// together with an error naming the failure count and the first failure.
+// Once ctx is canceled no further cell starts and the running ones stop
+// at their next epoch boundary; the canceled cells are neither results
+// nor failures, and the error wraps ctx's cause. It returns a nil sweep
+// only for invalid input.
+func RunSweepContext(ctx context.Context, policies []core.PolicyKind, opts Options) (*Sweep, error) {
 	if len(policies) == 0 {
 		return nil, errors.New("experiments: no policies to sweep")
 	}
@@ -174,24 +185,32 @@ func RunSweep(policies []core.PolicyKind, opts Options) (*Sweep, error) {
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				res, err := runCell(opts.simConfig(j.policy, j.bench))
+				res, err := runCell(ctx, opts.simConfig(j.policy, j.bench))
 				mu.Lock()
-				if err != nil {
+				// A cell that errs once ctx is canceled was stopped, not
+				// broken: it is left out of both maps.
+				switch {
+				case err == nil:
+					sw.Results[j.bench.Name][j.policy.String()] = res
+				case ctx.Err() == nil:
 					sw.Failures = append(sw.Failures, RunError{
 						Benchmark: j.bench.Name,
 						Policy:    j.policy.String(),
 						Err:       err.Error(),
 					})
-				} else {
-					sw.Results[j.bench.Name][j.policy.String()] = res
 				}
 				mu.Unlock()
 			}
 		}()
 	}
+dispatch:
 	for _, b := range suite {
 		for _, p := range policies {
-			jobs <- job{bench: b, policy: p}
+			select {
+			case jobs <- job{bench: b, policy: p}:
+			case <-ctx.Done():
+				break dispatch
+			}
 		}
 	}
 	close(jobs)
@@ -202,6 +221,9 @@ func RunSweep(policies []core.PolicyKind, opts Options) (*Sweep, error) {
 		}
 		return sw.Failures[i].Policy < sw.Failures[j].Policy
 	})
+	if ctx.Err() != nil {
+		return sw, fmt.Errorf("experiments: sweep interrupted: %w", context.Cause(ctx))
+	}
 	if len(sw.Failures) > 0 {
 		return sw, fmt.Errorf("experiments: %d of %d cells failed; first: %s",
 			len(sw.Failures), len(suite)*len(policies), sw.Failures[0])

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"strconv"
 	"strings"
@@ -9,6 +11,7 @@ import (
 
 	"thermogater/internal/core"
 	"thermogater/internal/pdn"
+	"thermogater/internal/sim"
 	"thermogater/internal/workload"
 )
 
@@ -100,7 +103,7 @@ func TestFig5Calibration(t *testing.T) {
 }
 
 func TestFig6ActiveRegulators(t *testing.T) {
-	f, err := Fig6ActiveRegulators(testOptions())
+	f, err := Fig6ActiveRegulators(context.Background(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +122,7 @@ func TestFig6ActiveRegulators(t *testing.T) {
 }
 
 func TestFig8NaiveProfile(t *testing.T) {
-	f, err := Fig8NaiveProfile(testOptions())
+	f, err := Fig8NaiveProfile(context.Background(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +142,7 @@ func TestFig8NaiveProfile(t *testing.T) {
 }
 
 func TestFig12HeatMaps(t *testing.T) {
-	frames, err := Fig12HeatMaps(testOptions())
+	frames, err := Fig12HeatMaps(context.Background(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +169,7 @@ func TestFig12HeatMaps(t *testing.T) {
 }
 
 func TestFig13ActivityBins(t *testing.T) {
-	f, err := Fig13ActivityBins(testOptions())
+	f, err := Fig13ActivityBins(context.Background(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +200,7 @@ func TestFig13ActivityBins(t *testing.T) {
 }
 
 func TestFig14NoiseTransient(t *testing.T) {
-	f, err := Fig14NoiseTransient(testOptions())
+	f, err := Fig14NoiseTransient(context.Background(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +227,7 @@ func TestFig14NoiseTransient(t *testing.T) {
 
 func TestFig15LDOvsFIVR(t *testing.T) {
 	opts := testOptions()
-	f, err := Fig15LDOvsFIVR(opts)
+	f, err := Fig15LDOvsFIVR(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,6 +383,40 @@ func TestRunSweepValidation(t *testing.T) {
 	}
 }
 
+// TestRunSweepContextCanceled: once the context is canceled no further
+// cell starts, the canceled cells are neither results nor failures, and
+// the error wraps the cancellation.
+func TestRunSweepContextCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := testOptions()
+	opts.Parallel = 1
+	var cells int
+	opts.Mutate = func(core.PolicyKind, workload.Profile, *sim.Config) {
+		// One worker, so the calls are serial.
+		if cells++; cells == 3 {
+			cancel()
+		}
+	}
+	sw, err := RunSweepContext(ctx, []core.PolicyKind{core.AllOn}, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled sweep returned %v, want a context.Canceled error", err)
+	}
+	if len(sw.Failures) != 0 {
+		t.Errorf("canceled cells listed as failures: %v", sw.Failures)
+	}
+	var done int
+	for _, m := range sw.Results {
+		done += len(m)
+	}
+	if done != 2 {
+		t.Errorf("%d cells completed, want the 2 that ran before the cancel", done)
+	}
+	if cells > 4 {
+		t.Errorf("%d cells started after a cancel at the third", cells)
+	}
+}
+
 func TestSweepGetErrors(t *testing.T) {
 	opts := testOptions()
 	real, err := RunSweep([]core.PolicyKind{core.AllOn}, opts)
@@ -413,7 +450,7 @@ func TestLDOConfigSwitchesDesign(t *testing.T) {
 }
 
 func TestAgingComparison(t *testing.T) {
-	tab, err := AgingComparison("lu_ncb", testOptions())
+	tab, err := AgingComparison(context.Background(), "lu_ncb", testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +478,7 @@ func TestAgingComparison(t *testing.T) {
 }
 
 func TestDVFSComparison(t *testing.T) {
-	tab, err := DVFSComparison("raytrace", testOptions())
+	tab, err := DVFSComparison(context.Background(), "raytrace", testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,10 +503,10 @@ func TestDVFSComparison(t *testing.T) {
 	if dvfsPower >= basePower {
 		t.Errorf("DVFS power %v not below nominal %v", dvfsPower, basePower)
 	}
-	if _, err := AgingComparison("doom", testOptions()); err == nil {
+	if _, err := AgingComparison(context.Background(), "doom", testOptions()); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	if _, err := DVFSComparison("doom", testOptions()); err == nil {
+	if _, err := DVFSComparison(context.Background(), "doom", testOptions()); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 }

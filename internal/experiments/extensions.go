@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -16,7 +17,7 @@ import (
 // the wear-balance ratio per policy. The expected story: all-on spreads
 // wear thinly; OracT parks its busy regulators in cool regions; OracV
 // pins hot logic-side regulators and ages them fastest.
-func AgingComparison(benchmark string, opts Options) (*report.Table, error) {
+func AgingComparison(ctx context.Context, benchmark string, opts Options) (*report.Table, error) {
 	bench, err := workload.ByName(benchmark)
 	if err != nil {
 		return nil, err
@@ -29,7 +30,7 @@ func AgingComparison(benchmark string, opts Options) (*report.Table, error) {
 	for _, p := range []core.PolicyKind{core.AllOn, core.Naive, core.OracT, core.OracV, core.PracVT} {
 		cfg := opts.simConfig(p, bench)
 		cfg.TrackAging = true
-		res, err := runOne(cfg)
+		res, err := runOne(ctx, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", p, err)
 		}
@@ -46,7 +47,7 @@ func AgingComparison(benchmark string, opts Options) (*report.Table, error) {
 // layer under the practical governor and tabulates the power/performance/
 // efficiency trade — the fine-grain voltage control that integrated
 // regulation exists to enable (Section 1).
-func DVFSComparison(benchmark string, opts Options) (*report.Table, error) {
+func DVFSComparison(ctx context.Context, benchmark string, opts Options) (*report.Table, error) {
 	bench, err := workload.ByName(benchmark)
 	if err != nil {
 		return nil, err
@@ -56,14 +57,14 @@ func DVFSComparison(benchmark string, opts Options) (*report.Table, error) {
 		Title:   fmt.Sprintf("Per-core DVFS under ThermoGater (%s, PracVT)", bench.Name),
 		Columns: []string{"metric", "nominal", "with DVFS"},
 	}
-	base, err := runOne(opts.simConfig(core.PracVT, bench))
+	base, err := runOne(ctx, opts.simConfig(core.PracVT, bench))
 	if err != nil {
 		return nil, err
 	}
 	cfg := opts.simConfig(core.PracVT, bench)
 	d := dvfs.DefaultConfig()
 	cfg.DVFS = &d
-	scaled, err := runOne(cfg)
+	scaled, err := runOne(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -15,14 +16,14 @@ import (
 // Fig6ActiveRegulators regenerates Fig. 6: how the cumulative number of
 // active regulators tracks the total power demand over time for an
 // 8-threaded run of lu_ncb.
-func Fig6ActiveRegulators(opts Options) (*report.Figure, error) {
+func Fig6ActiveRegulators(ctx context.Context, opts Options) (*report.Figure, error) {
 	bench, err := workload.ByName("lu_ncb")
 	if err != nil {
 		return nil, err
 	}
 	cfg := opts.simConfig(core.OracT, bench)
 	cfg.TraceEpochs = true
-	res, err := runOne(cfg)
+	res, err := runOne(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +47,7 @@ func Fig6ActiveRegulators(opts Options) (*report.Figure, error) {
 
 // Fig8NaiveProfile regenerates Fig. 8: the temperature and on/off state of
 // one representative regulator under the Naïve policy (lu_ncb).
-func Fig8NaiveProfile(opts Options) (*report.Figure, error) {
+func Fig8NaiveProfile(ctx context.Context, opts Options) (*report.Figure, error) {
 	bench, err := workload.ByName("lu_ncb")
 	if err != nil {
 		return nil, err
@@ -55,7 +56,7 @@ func Fig8NaiveProfile(opts Options) (*report.Figure, error) {
 	// Track a logic-side regulator of core 0: these are the ones Naïve
 	// cycles on and off.
 	cfg.TrackVR = 1
-	res, err := runOne(cfg)
+	res, err := runOne(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +94,7 @@ type HeatMapFrame struct {
 
 // Fig12HeatMaps regenerates Fig. 12: heat-map frames at the Tmax peak of
 // cholesky under off-chip, all-on, OracT and OracV.
-func Fig12HeatMaps(opts Options) ([]HeatMapFrame, error) {
+func Fig12HeatMaps(ctx context.Context, opts Options) ([]HeatMapFrame, error) {
 	bench, err := workload.ByName("cholesky")
 	if err != nil {
 		return nil, err
@@ -102,7 +103,7 @@ func Fig12HeatMaps(opts Options) ([]HeatMapFrame, error) {
 	for _, p := range []core.PolicyKind{core.OffChip, core.AllOn, core.OracT, core.OracV} {
 		cfg := opts.simConfig(p, bench)
 		cfg.HeatMapRes = 84
-		res, err := runOne(cfg)
+		res, err := runOne(ctx, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", p, err)
 		}
@@ -121,7 +122,7 @@ func Fig12HeatMaps(opts Options) ([]HeatMapFrame, error) {
 // Fig13ActivityBins regenerates Fig. 13: per-regulator activity (fraction
 // of execution time on) for the 72 core-domain regulators under OracT vs
 // OracV, binned into logic-side and memory-side groups (lu_ncb).
-func Fig13ActivityBins(opts Options) (*report.Figure, error) {
+func Fig13ActivityBins(ctx context.Context, opts Options) (*report.Figure, error) {
 	bench, err := workload.ByName("lu_ncb")
 	if err != nil {
 		return nil, err
@@ -137,7 +138,7 @@ func Fig13ActivityBins(opts Options) (*report.Figure, error) {
 		return nil, err
 	}
 	for _, p := range []core.PolicyKind{core.OracT, core.OracV} {
-		res, err := runOne(opts.simConfig(p, bench))
+		res, err := runOne(ctx, opts.simConfig(p, bench))
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", p, err)
 		}
@@ -171,7 +172,7 @@ func Fig13ActivityBins(opts Options) (*report.Figure, error) {
 
 // Fig14NoiseTransient regenerates Fig. 14: a cycle-level voltage noise
 // sample around the worst-noise moment of fft under OracT vs OracV.
-func Fig14NoiseTransient(opts Options) (*report.Figure, error) {
+func Fig14NoiseTransient(ctx context.Context, opts Options) (*report.Figure, error) {
 	bench, err := workload.ByName("fft")
 	if err != nil {
 		return nil, err
@@ -185,7 +186,7 @@ func Fig14NoiseTransient(opts Options) (*report.Figure, error) {
 	const cycles = 1000
 	for _, p := range []core.PolicyKind{core.OracT, core.OracV} {
 		cfg := opts.simConfig(p, bench)
-		res, err := runOne(cfg)
+		res, err := runOne(ctx, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", p, err)
 		}
@@ -225,7 +226,7 @@ func Fig14NoiseTransient(opts Options) (*report.Figure, error) {
 // Fig15LDOvsFIVR regenerates Fig. 15: the maximum voltage noise per
 // benchmark under all-on for the LDO-based design vs the FIVR-based one,
 // plus the overall maximum.
-func Fig15LDOvsFIVR(opts Options) (*report.Figure, error) {
+func Fig15LDOvsFIVR(ctx context.Context, opts Options) (*report.Figure, error) {
 	f := &report.Figure{
 		ID:     "Fig. 15",
 		Title:  "Maximum voltage noise: LDO vs FIVR (all-on)",
@@ -237,11 +238,11 @@ func Fig15LDOvsFIVR(opts Options) (*report.Figure, error) {
 	var maxF, maxL float64
 	for i, bench := range workload.Suite() {
 		cfgF := opts.simConfig(core.AllOn, bench)
-		resF, err := runOne(cfgF)
+		resF, err := runOne(ctx, cfgF)
 		if err != nil {
 			return nil, fmt.Errorf("fivr/%s: %w", bench.Name, err)
 		}
-		resL, err := runOne(ldoConfig(opts.simConfig(core.AllOn, bench)))
+		resL, err := runOne(ctx, ldoConfig(opts.simConfig(core.AllOn, bench)))
 		if err != nil {
 			return nil, fmt.Errorf("ldo/%s: %w", bench.Name, err)
 		}

@@ -37,6 +37,7 @@ type Runner struct {
 
 	// Scratch state reused across substeps.
 	blockTemps    []float64
+	blockLeak     []float64 // per block, leakage at blockTemps before DVFS scaling
 	vrTemps       []float64
 	sensorVRTemps []float64
 	blockPower    []float64
@@ -181,6 +182,7 @@ func New(cfg Config) (*Runner, error) {
 		epochS:        cfg.EpochMS / 1000,
 		substepS:      cfg.SubstepMS / 1000,
 		blockTemps:    make([]float64, len(chip.Blocks)),
+		blockLeak:     make([]float64, len(chip.Blocks)),
 		vrTemps:       make([]float64, len(chip.Regulators)),
 		sensorVRTemps: make([]float64, len(chip.Regulators)),
 		blockPower:    make([]float64, len(chip.Blocks)),
@@ -286,20 +288,31 @@ func New(cfg Config) (*Runner, error) {
 	return r, nil
 }
 
-// blockPowerScaled computes total per-block power with the current DVFS
-// scaling applied: dynamic power scales with f·V², leakage with V.
-func (r *Runner) blockPowerScaled(activity, temps, dst []float64) ([]float64, error) {
+// blockPowerScaled computes total per-block power from the activity and
+// the per-block leakage (power.Model.Leakage at the current temperature
+// field), with the current DVFS scaling applied: dynamic power scales with
+// f·V², leakage with V. The caller evaluates leakage once per temperature
+// field and passes it to every power map built on that field.
+func (r *Runner) blockPowerScaled(activity, leak, dst []float64) ([]float64, error) {
 	dyn, err := r.pm.Dynamic(activity, dst)
 	if err != nil {
 		return nil, err
 	}
-	if len(temps) != len(dyn) {
-		return nil, fmt.Errorf("sim: %d temperatures for %d blocks", len(temps), len(dyn))
+	if len(leak) != len(dyn) {
+		return nil, fmt.Errorf("sim: %d leakage values for %d blocks", len(leak), len(dyn))
 	}
 	for i := range dyn {
-		dyn[i] = dyn[i]*r.dynScale[i] + r.pm.LeakageAt(i, temps[i])*r.leakScale[i]
+		dyn[i] = dyn[i]*r.dynScale[i] + leak[i]*r.leakScale[i]
 	}
 	return dyn, nil
+}
+
+// refreshLeakage reads the block temperatures and evaluates their leakage
+// into blockLeak.
+func (r *Runner) refreshLeakage() error {
+	r.tm.BlockTemps(r.blockTemps)
+	_, err := r.pm.Leakage(r.blockTemps, r.blockLeak)
+	return err
 }
 
 // updateDVFS feeds per-core utilisation into the V/f governor and refreshes
@@ -778,14 +791,19 @@ func (r *Runner) stepEpoch(e int) error {
 	measuring := e >= r.cfg.WarmupEpochs
 
 	// Epoch-average demand (oracle view of the upcoming interval),
-	// using leakage at current temperatures.
+	// using leakage at epoch-start temperatures. That leakage is
+	// evaluated once here and shared by every power map built on the
+	// epoch-start field: this one, the oracle's frameCur maps and the
+	// physics loop's substep 0.
 	phase = epSpan.StartChild("power")
 	averageActivity(frames, r.avgActivity)
 	if err := r.updateDVFS(r.avgActivity); err != nil {
 		return err
 	}
-	r.tm.BlockTemps(r.blockTemps)
-	if _, err := r.blockPowerScaled(r.avgActivity, r.blockTemps, r.avgBlockPower); err != nil {
+	if err := r.refreshLeakage(); err != nil {
+		return err
+	}
+	if _, err := r.blockPowerScaled(r.avgActivity, r.blockLeak, r.avgBlockPower); err != nil {
 		return err
 	}
 	r.demand(r.avgBlockPower)
@@ -796,7 +814,7 @@ func (r *Runner) stepEpoch(e int) error {
 	// epoch-start temperatures, like the rest of the decision inputs),
 	// written into the preallocated frameCur rows.
 	for s, f := range frames {
-		bp, err := r.blockPowerScaled(f.Activity, r.blockTemps, r.frameCur[s])
+		bp, err := r.blockPowerScaled(f.Activity, r.blockLeak, r.frameCur[s])
 		if err != nil {
 			return err
 		}
@@ -844,6 +862,10 @@ func (r *Runner) stepEpoch(e int) error {
 	}
 	var epochMaxNoise float64
 	var epochChipPower float64
+	// Die extremes (Model.Extremes) of the field the epoch ends on: the
+	// last measured substep's scan, or one scan after the loop when no
+	// substep was measured.
+	var epochTmax, epochGrad float64
 	for i := range r.epochDomEmerg {
 		r.epochDomEmerg[i] = false
 	}
@@ -853,8 +875,18 @@ func (r *Runner) stepEpoch(e int) error {
 			invariant.SetCtx(e, s)
 		}
 		phase = epSpan.StartChild("power")
-		r.tm.BlockTemps(r.blockTemps)
-		if _, err := r.blockPowerScaled(f.Activity, r.blockTemps, r.blockPower); err != nil {
+		// Leakage follows the temperature field, which changes only when
+		// the thermal model steps. Nothing steps it between the epoch
+		// start and substep 0, so substep 0 reuses the epoch-start
+		// leakage; every later substep evaluates its own.
+		if s > 0 {
+			if err := r.refreshLeakage(); err != nil {
+				return err
+			}
+		} else if invariant.Enabled {
+			r.sanitizeLeakageReuse()
+		}
+		if _, err := r.blockPowerScaled(f.Activity, r.blockLeak, r.blockPower); err != nil {
 			return err
 		}
 		r.demand(r.blockPower)
@@ -956,19 +988,21 @@ func (r *Runner) stepEpoch(e int) error {
 		}
 
 		if measuring {
-			// Thermal-state sampling (MaxTemp/Gradient scan the RC
-			// network) accounts to the thermal phase.
+			// Thermal-state sampling (one Extremes scan of the die nodes)
+			// accounts to the thermal phase.
 			phase = epSpan.StartChild("thermal")
 			ms.MeasuredTime += r.substepS
 			ms.PlossIntegral += substepPloss * r.substepS
 			ms.ChipPowerInt += chipPower * r.substepS
-			if t, at := r.tm.MaxTemp(); t > res.MaxTempC {
+			t, at, g := r.tm.Extremes()
+			if t > res.MaxTempC {
 				res.MaxTempC, res.MaxTempAt = t, at
 				ms.HeatMapDeadline = e
 			}
-			if g := r.tm.Gradient(); g > res.MaxGradientC {
+			if g > res.MaxGradientC {
 				res.MaxGradientC = g
 			}
+			epochTmax, epochGrad = t, g
 			phase.End()
 		}
 
@@ -1035,6 +1069,13 @@ func (r *Runner) stepEpoch(e int) error {
 		}
 	}
 
+	// Nothing after the substep loop steps the thermal model, so a
+	// measured epoch's last substep scan already holds the epoch-end
+	// extremes; only an unmeasured epoch with telemetry attached scans.
+	if !measuring && r.ins.enabled() {
+		epochTmax, _, epochGrad = r.tm.Extremes()
+	}
+
 	// Epoch bookkeeping: the mask scan accounts to the vr phase, the
 	// governor feedback observations to the governor phase.
 	phase = epSpan.StartChild("vr")
@@ -1079,14 +1120,13 @@ func (r *Runner) stepEpoch(e int) error {
 			for _, l := range r.epochVRLoss {
 				ploss += l
 			}
-			tmax, _ := r.tm.MaxTemp()
 			// Capacity preallocated in beginRun; a resumed run regrows once.
 			res.Trace = append(res.Trace, EpochStats{
 				TimeMS:      float64(e) * r.cfg.EpochMS,
 				TotalPowerW: epochChipPower / float64(r.stepsPerEpoch),
 				ActiveVRs:   activeCount,
-				MaxTempC:    tmax,
-				GradientC:   r.tm.Gradient(),
+				MaxTempC:    epochTmax,
+				GradientC:   epochGrad,
 				MaxNoisePct: epochMaxNoise,
 				PlossW:      ploss,
 				Eta:         0, // filled in aggregate below
@@ -1107,7 +1147,6 @@ func (r *Runner) stepEpoch(e int) error {
 		for _, l := range r.epochVRLoss {
 			ploss += l
 		}
-		tmax, _ := r.tm.MaxTemp()
 		if err := r.ins.observeEpoch(r, epSpan, epochStats{
 			epoch:      e,
 			timeMS:     float64(e) * r.cfg.EpochMS,
@@ -1115,8 +1154,8 @@ func (r *Runner) stepEpoch(e int) error {
 			activeVRs:  activeCount,
 			chipPowerW: epochChipPower / float64(r.stepsPerEpoch),
 			plossW:     ploss,
-			maxTempC:   tmax,
-			gradientC:  r.tm.Gradient(),
+			maxTempC:   epochTmax,
+			gradientC:  epochGrad,
 			noisePct:   epochMaxNoise,
 			overrides:  epochOverrides,
 		}); err != nil {

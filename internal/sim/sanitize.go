@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"thermogater/internal/core"
 	"thermogater/internal/invariant"
 	"thermogater/internal/power"
@@ -68,6 +70,21 @@ func (r *Runner) sanitizeDecision(dec *core.Decision) {
 				break
 			}
 			seen[li] = true
+		}
+	}
+}
+
+// sanitizeLeakageReuse checks the premise of substep 0's leakage reuse:
+// the thermal field it reads still equals, bit for bit, the epoch-start
+// field the shared leakage vector was evaluated on.
+func (r *Runner) sanitizeLeakageReuse() {
+	san := r.sanitizer()
+	san.blockTemps = r.tm.BlockTemps(san.blockTemps)
+	for i, t := range san.blockTemps {
+		if math.Float64bits(t) != math.Float64bits(r.blockTemps[i]) {
+			invariant.Reportf("leakage-reuse", i,
+				"block %d is at %v °C at substep 0 but its leakage was evaluated at %v °C", i, t, r.blockTemps[i])
+			return
 		}
 	}
 }

@@ -137,6 +137,13 @@ func TestRunnerCountersAndEpochRecords(t *testing.T) {
 			t.Fatalf("record %d missing thermal_substeps", i)
 		}
 		substeps += float64(v.(int64))
+		// The die extremes describe the epoch-end field in warm-up epochs
+		// too, where no measured substep has scanned it.
+		tmax, _ := rec.Get("max_temp_c")
+		grad, _ := rec.Get("gradient_c")
+		if tm, g := tmax.(float64), grad.(float64); !(tm > cfg.Thermal.AmbientC && g > 0) {
+			t.Fatalf("record %d (warm-up %v): max_temp_c %v, gradient_c %v", i, i < cfg.WarmupEpochs, tm, g)
+		}
 	}
 	if got := reg.Counter("thermal_euler_substeps_total").Value(); got != substeps {
 		t.Errorf("per-epoch substeps sum %v != counter %v", substeps, got)

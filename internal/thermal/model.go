@@ -249,22 +249,33 @@ func (m *Model) stepCapped(dtS, capS float64) error {
 	}
 	// Flat SoA sweep over the CSR arrays built by cacheRates. The
 	// in-place temperature update runs after the full delta pass, so every
-	// row reads the field as it stood at the start of the substep.
-	delta := m.delta
+	// row reads the field as it stood at the start of the substep. The
+	// arrays are resliced to one length up front so the compiler drops
+	// the per-node bounds checks; the arithmetic and summation order are
+	// exactly those of the nested adj loop, so every bit is kept.
+	n := m.nNodes
+	temp := m.temp[:n]
+	pw := m.power[:n]
+	capJ := m.capJPerK[:n]
+	amb := m.ambientG[:n]
+	delta := m.delta[:n]
+	rowStart := m.rowStart[:n+1]
+	flatTo, flatG := m.flatTo, m.flatG[:len(m.flatTo)]
+	ambC := m.cfg.AmbientC
 	for s := 0; s < steps; s++ {
-		for i := 0; i < m.nNodes; i++ {
-			q := m.power[i]
-			ti := m.temp[i]
-			for k := m.rowStart[i]; k < m.rowStart[i+1]; k++ {
-				q += m.flatG[k] * (m.temp[m.flatTo[k]] - ti)
-			}
-			if m.ambientG[i] > 0 {
-				q += m.ambientG[i] * (m.cfg.AmbientC - ti)
-			}
-			delta[i] = h * q / m.capJPerK[i]
-		}
 		for i := range delta {
-			m.temp[i] += delta[i]
+			q := pw[i]
+			ti := temp[i]
+			for k := rowStart[i]; k < rowStart[i+1]; k++ {
+				q += flatG[k] * (temp[flatTo[k]] - ti)
+			}
+			if g := amb[i]; g > 0 {
+				q += g * (ambC - ti)
+			}
+			delta[i] = h * q / capJ[i]
+		}
+		for i, d := range delta {
+			temp[i] += d
 		}
 	}
 	return nil
@@ -377,38 +388,30 @@ func (m *Model) VRTemps(dst []float64) []float64 {
 // SinkTemp returns the heat-sink node temperature.
 func (m *Model) SinkTemp() float64 { return m.temp[m.sink] }
 
-// MaxTemp returns the hottest on-die temperature (over blocks and
-// regulator nodes) and a description of where it occurs.
-func (m *Model) MaxTemp() (float64, string) {
-	best, where := math.Inf(-1), ""
-	for i := 0; i < m.nBlocks; i++ {
-		if m.temp[i] > best {
-			best, where = m.temp[i], m.chip.Blocks[i].Name
-		}
-	}
-	for r := 0; r < m.nVRs; r++ {
-		if t := m.temp[m.nBlocks+r]; t > best {
-			best = t
-			where = m.vrNames[r]
-		}
-	}
-	return best, where
-}
-
-// Gradient returns the maximum spatial temperature difference across the
-// die (blocks and regulator nodes), the metric Fig. 10 reports.
-func (m *Model) Gradient() float64 {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for i := 0; i < m.nBlocks+m.nVRs; i++ {
-		t := m.temp[i]
+// Extremes scans the on-die nodes (blocks, then regulators) once and
+// returns the hottest temperature with a description of where it occurs,
+// and the maximum spatial temperature difference across the die — the
+// metric Fig. 10 reports. The hottest node is the first strict maximum in
+// node order, so a block wins a tie with a regulator; NaN nodes never
+// compare and are skipped.
+func (m *Model) Extremes() (maxC float64, where string, gradientC float64) {
+	lo, hi, at := math.Inf(1), math.Inf(-1), -1
+	for i, t := range m.temp[:m.nBlocks+m.nVRs] {
 		if t < lo {
 			lo = t
 		}
 		if t > hi {
-			hi = t
+			hi, at = t, i
 		}
 	}
-	return hi - lo
+	switch {
+	case at < 0:
+	case at < m.nBlocks:
+		where = m.chip.Blocks[at].Name
+	default:
+		where = m.vrNames[at-m.nBlocks]
+	}
+	return hi, where, hi - lo
 }
 
 // HeatMap rasterises the die temperature field onto an nx×ny grid for the

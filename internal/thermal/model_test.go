@@ -51,12 +51,12 @@ func TestZeroPowerStaysAtAmbient(t *testing.T) {
 		t.Fatal(err)
 	}
 	amb := m.Config().AmbientC
-	max, _ := m.MaxTemp()
+	max, _, grad := m.Extremes()
 	if math.Abs(max-amb) > 1e-9 {
 		t.Errorf("unpowered chip at %v°C, ambient is %v", max, amb)
 	}
-	if g := m.Gradient(); math.Abs(g) > 1e-9 {
-		t.Errorf("unpowered gradient = %v", g)
+	if math.Abs(grad) > 1e-9 {
+		t.Errorf("unpowered gradient = %v", grad)
 	}
 }
 
@@ -98,7 +98,7 @@ func TestHotspotLocality(t *testing.T) {
 	if _, err := m.SteadyState(1e-6, 0); err != nil {
 		t.Fatal(err)
 	}
-	max, where := m.MaxTemp()
+	max, where, _ := m.Extremes()
 	if where != "core0/EXU" {
 		t.Errorf("hotspot at %q, want core0/EXU", where)
 	}
@@ -254,9 +254,9 @@ func TestResetUniform(t *testing.T) {
 	_ = m.SetPower(bp, vp)
 	_ = m.Step(1)
 	m.Reset(55)
-	max, _ := m.MaxTemp()
-	if max != 55 || m.Gradient() != 0 {
-		t.Errorf("Reset(55): max %v gradient %v", max, m.Gradient())
+	max, _, grad := m.Extremes()
+	if max != 55 || grad != 0 {
+		t.Errorf("Reset(55): max %v gradient %v", max, grad)
 	}
 }
 
@@ -270,23 +270,23 @@ func TestGradientAndMaxTempConsistency(t *testing.T) {
 	if _, err := m.SteadyState(1e-6, 0); err != nil {
 		t.Fatal(err)
 	}
-	max, where := m.MaxTemp()
+	max, where, grad := m.Extremes()
 	if max <= m.Config().AmbientC {
 		t.Error("max temp below ambient")
 	}
-	if m.Gradient() <= 0 {
+	if grad <= 0 {
 		t.Error("non-positive gradient with a hotspot present")
 	}
 	if where == "" {
-		t.Error("MaxTemp returned empty location")
+		t.Error("Extremes returned empty location")
 	}
-	// A hot enough regulator node must win MaxTemp.
+	// A hot enough regulator node must be the hottest.
 	vp[27+4] = 3.0
 	_ = m.SetPower(bp, vp)
 	if _, err := m.SteadyState(1e-6, 0); err != nil {
 		t.Fatal(err)
 	}
-	_, where = m.MaxTemp()
+	_, where, _ = m.Extremes()
 	if !strings.HasPrefix(where, "vr") {
 		t.Errorf("expected a regulator hotspot, got %q", where)
 	}

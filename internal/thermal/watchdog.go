@@ -74,11 +74,16 @@ func (w *Watchdog) Step(dtS float64) (retries int, err error) {
 func (w *Watchdog) healthy() bool {
 	lo := w.m.cfg.AmbientC - 1
 	hi := w.m.cfg.MaxJunction() + 50
-	for i, t := range w.m.temp {
-		if math.IsNaN(t) || math.IsInf(t, 0) {
+	nDie := w.m.nBlocks + w.m.nVRs
+	// lo and hi are finite (Config.Validate), so one negated range test
+	// also rejects NaN and ±Inf on the die nodes.
+	for _, t := range w.m.temp[:nDie] {
+		if !(t >= lo && t <= hi) {
 			return false
 		}
-		if i < w.m.nBlocks+w.m.nVRs && (t < lo || t > hi) {
+	}
+	for _, t := range w.m.temp[nDie:] {
+		if math.IsNaN(t) || math.IsInf(t, 0) {
 			return false
 		}
 	}

@@ -310,9 +310,17 @@ func (s *Simulator) StepInto(dtMS float64, f *Frame) error {
 		bankTraffic[i] = 0
 	}
 	var mcTraffic float64
+	// Without a mix every thread runs the one profile at the one time, so
+	// a single PhaseAt lookup serves the whole frame.
+	var ph workload.Phase
+	if !s.mix {
+		ph = s.profiles[0].PhaseAt(s.time)
+	}
 	for c := 0; c < s.threads; c++ {
 		p := &s.profiles[c]
-		ph := p.PhaseAt(s.time)
+		if s.mix {
+			ph = p.PhaseAt(s.time)
+		}
 		compute, mem := s.threadIntensity(c, ph)
 
 		// Per-unit activity, indexed by unit class. The ISU and IFU track
