@@ -16,6 +16,9 @@ type StreamBuf struct {
 	buf    []byte
 	closed bool
 	wake   chan struct{} // nil until a reader asks for it
+	// writes counts appends, which tests and BenchmarkServeJobStream
+	// read to check how often a job hands its records over.
+	writes int
 }
 
 // NewStreamBuf returns an empty open stream.
@@ -23,12 +26,13 @@ func NewStreamBuf() *StreamBuf {
 	return &StreamBuf{}
 }
 
-// Write appends p; it implements io.Writer so a telemetry JSONL sink can
-// write straight into the stream.
+// Write appends p and wakes parked readers. A running job's sink writes
+// whole records only (see jobSink).
 func (s *StreamBuf) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.buf = append(s.buf, p...)
+	s.writes++
 	s.broadcast()
 	return len(p), nil
 }
@@ -42,12 +46,18 @@ func (s *StreamBuf) broadcast() {
 }
 
 // Close marks the stream complete: no further appends will come and
-// readers at the tail should stop waiting.
+// readers at the tail should stop waiting. A settled stream is kept for
+// the result TTL, so Close also trims the buffer's append slack. No
+// reader holds the old backing array: ReadFrom and Bytes hand out
+// copies.
 func (s *StreamBuf) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.closed {
 		s.closed = true
+		if cap(s.buf) > len(s.buf) {
+			s.buf = append(make([]byte, 0, len(s.buf)), s.buf...)
+		}
 		s.broadcast()
 	}
 }

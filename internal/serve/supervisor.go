@@ -605,10 +605,15 @@ func asCancel(err error) *sim.CancelError {
 // spec and that checkpoint: invalid configuration, a checkpoint from
 // another schema or config, or a failure inside the deterministic run.
 func (s *Supervisor) attempt(j *Job, ctx context.Context) (res *sim.Result, err error) {
+	sink := &jobSink{stream: j.stream, job: j, panicOn: s.cfg.panicOn}
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, &crashError{fmt.Sprint(p)}
 		}
+		// Every exit hands the buffered tail over before runJob settles,
+		// parks or spools the job, so the stream ends at the stopping
+		// epoch just as it would with every record sent at once.
+		sink.handOff()
 	}()
 
 	cfg, err := j.Spec.simConfig()
@@ -620,7 +625,7 @@ func (s *Supervisor) attempt(j *Job, ctx context.Context) (res *sim.Result, err 
 		epoch := time.Unix(0, 0)
 		reg.SetClock(func() time.Time { return epoch })
 	}
-	reg.AddSink(&jobSink{sink: telemetry.NewJSONLSink(j.stream), job: j, panicOn: s.cfg.panicOn})
+	reg.AddSink(sink)
 	cfg.Telemetry = reg
 	cfg.ThetaMemo = s.theta
 
@@ -643,12 +648,24 @@ func (s *Supervisor) attempt(j *Job, ctx context.Context) (res *sim.Result, err 
 	return r.RunContext(ctx)
 }
 
-// jobSink adapts the JSONL sink for service use: every record is flushed
-// through to the stream immediately (live streaming). Config.panicOn
-// fires here, inside the run, so a test panic unwinds through the real
-// recovery path.
+// streamChunk is about how many bytes of whole records a running job
+// gathers before it hands them to its stream: some 37 epoch records, a
+// few milliseconds of simulation. Handing records over one at a time
+// wakes every stream reader, and its client, once per epoch.
+const streamChunk = 16 << 10
+
+// jobSink encodes a job's records as JSONL and hands them to the job's
+// stream in chunks that end on a record boundary: the attempt's first
+// record at once, so a follower sees the job start, then each time
+// about streamChunk bytes have gathered, and the rest when the attempt
+// ends (attempt calls handOff on every exit). A live reader therefore
+// lags the run by at most one chunk, and the stored bytes are the ones
+// a per-record hand-off would store. Config.panicOn fires here, inside
+// the run, so a test panic unwinds through the real recovery path.
 type jobSink struct {
-	sink    *telemetry.JSONLSink
+	stream  *StreamBuf
+	buf     []byte // whole records not yet in the stream
+	started bool   // the attempt's first record has been handed over
 	job     *Job
 	panicOn func(*Job) bool
 }
@@ -657,13 +674,30 @@ func (s *jobSink) Emit(rec *telemetry.Record) error {
 	if s.panicOn != nil && s.panicOn(s.job) {
 		panic("serve: test panic mid-stream")
 	}
-	if err := s.sink.Emit(rec); err != nil {
-		return err
+	if s.buf == nil {
+		s.buf = make([]byte, 0, streamChunk+streamChunk/4)
 	}
-	return s.sink.Flush()
+	s.buf = telemetry.AppendJSONL(s.buf, rec)
+	if !s.started || len(s.buf) >= streamChunk {
+		s.started = true
+		s.handOff()
+	}
+	return nil
 }
 
-func (s *jobSink) Flush() error { return s.sink.Flush() }
+func (s *jobSink) Flush() error {
+	s.handOff()
+	return nil
+}
+
+// handOff appends the gathered records to the stream.
+func (s *jobSink) handOff() {
+	if len(s.buf) > 0 {
+		//lint:ignore errsink StreamBuf.Write cannot fail
+		s.stream.Write(s.buf)
+		s.buf = s.buf[:0]
+	}
+}
 
 // jobSettled runs after a job reaches a terminal state: sweep parents
 // are notified and the spool entry (if any) is deleted.

@@ -39,7 +39,16 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 // Emit writes one record as a JSON line. bufio errors are sticky, so
 // checking the final write surfaces any failure in the sequence.
 func (s *JSONLSink) Emit(rec *Record) error {
-	b := append(s.buf[:0], `{"record":`...)
+	s.buf = AppendJSONL(s.buf[:0], rec)
+	_, err := s.w.Write(s.buf)
+	return err
+}
+
+// AppendJSONL appends rec to b as the one JSON line JSONLSink.Emit
+// writes for it, newline included, for callers that gather whole
+// records in their own buffer.
+func AppendJSONL(b []byte, rec *Record) []byte {
+	b = append(b, `{"record":`...)
 	b = appendJSONString(b, rec.Name)
 	for _, f := range rec.Fields {
 		b = append(b, ',')
@@ -47,10 +56,7 @@ func (s *JSONLSink) Emit(rec *Record) error {
 		b = append(b, ':')
 		b = appendField(b, f)
 	}
-	b = append(b, "}\n"...)
-	s.buf = b
-	_, err := s.w.Write(b)
-	return err
+	return append(b, "}\n"...)
 }
 
 // Flush drains the buffer to the underlying writer.

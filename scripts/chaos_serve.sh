@@ -10,6 +10,8 @@
 #   - drain/spool/restart cycles, including a corrupt spooled checkpoint
 #   - slow clients and mid-stream disconnects on the streaming path
 #   - jobs carrying injected fault schedules
+#   - a job parked and a job panicking with records still gathered for
+#     the stream (the attempt-end hand-off)
 #   - a real process SIGTERMed mid-job and restarted over its spool
 #
 # "Survived" means: every job reached a terminal state, none vanished or
@@ -25,9 +27,9 @@ cd "$(dirname "$0")/.."
 echo "chaos-serve: in-process chaos suite (race detector on)"
 go test -race -count=1 -timeout 300s -run 'TestChaos' ./internal/serve/
 
-echo "chaos-serve: queue/supervisor robustness (shed, panic, cancel, drain, corrupt spool)"
+echo "chaos-serve: queue/supervisor robustness (shed, panic, cancel, drain, corrupt spool, park mid-chunk)"
 go test -race -count=1 -timeout 300s \
-  -run 'TestQueue|TestPanicFailsJobWorkerSurvives|TestCancelRunningJob|TestLoadShedding|TestDrainSpoolsAndRestartResumes|TestSpoolCorruptCheckpointRunsFresh' \
+  -run 'TestQueue|TestPanicFailsJobWorkerSurvives|TestCancelRunningJob|TestLoadShedding|TestDrainSpoolsAndRestartResumes|TestSpoolCorruptCheckpointRunsFresh|TestParkMidChunkResumesByteIdentical' \
   ./internal/serve/
 
 echo "chaos-serve: process-level SIGTERM drain + spool restart"
