@@ -1,6 +1,6 @@
 // Command tgserve runs the simulation service: a long-running HTTP/JSON
-// server where clients submit sim/sweep jobs, stream telemetry and fetch
-// results, supervised by the robustness layer documented in
+// server where clients submit simulation jobs, stream telemetry and
+// fetch results, supervised by the robustness layer documented in
 // docs/SERVICE.md (bounded prioritized queue with load shedding, panic
 // containment, checkpoint-backed preemption, graceful drain on SIGTERM).
 //

@@ -89,9 +89,9 @@ type Config struct {
 }
 
 // SettleRule is one golife settle obligation: Triggers are the
-// terminal-transition functions, Notify the parent-notification calls
-// that must stay reachable from every trigger call site. Functions
-// named in either list are themselves exempt (they ARE the machinery).
+// terminal-transition functions, Notify the settle calls that must stay
+// reachable from every trigger call site. Functions named in either
+// list are themselves exempt (they ARE the machinery).
 type SettleRule struct {
 	Triggers []string
 	Notify   []string
@@ -147,7 +147,7 @@ func DefaultConfig() *Config {
 		"stop", "quit", "done", "cancel", "exit", "kill", "term", "shutdown", "abort",
 	}
 	c.Tgsync.Settle = []SettleRule{
-		{Triggers: []string{"finish", "finishLocked"}, Notify: []string{"jobSettled", "aggregateSweep"}},
+		{Triggers: []string{"finish", "finishLocked"}, Notify: []string{"jobSettled"}},
 	}
 	return c
 }

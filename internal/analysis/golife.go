@@ -21,9 +21,9 @@ package analysis
 //   3. Settle obligations (Tgsync.Settle, scoped to Tgsync.Packages): a
 //      call to a terminal-transition trigger (finish/finishLocked) in a
 //      function that is not itself part of the settle machinery must
-//      have a parent-notification call (jobSettled/aggregateSweep)
-//      reachable in its CFG — the invariant whose violation left sweep
-//      parents waiting forever on canceled children.
+//      have a settle call (jobSettled) reachable in its CFG. A finished
+//      job that never reaches jobSettled keeps its spool entry, so a
+//      restarted service runs the settled job again.
 //
 // //sync:owned <reason> exempts a site whose lifecycle is managed
 // elsewhere.
@@ -36,7 +36,7 @@ import (
 
 var Golife = &Analyzer{
 	Name:         "golife",
-	Doc:          "goroutines and timers are tied to a teardown path; terminal transitions notify their parents",
+	Doc:          "goroutines and timers are tied to a teardown path; terminal transitions settle",
 	Run:          runGolife,
 	NeedsProgram: true,
 }
@@ -405,7 +405,7 @@ func checkSettleRule(pass *Pass, pkg *Package, anns annIndex, fd *ast.FuncDecl, 
 			return true
 		}
 		pass.Reportf(call.Pos(),
-			"terminal transition %s has no reachable %s call: sweep parents waiting on this job never settle (//sync:owned if aggregation is not required)",
+			"terminal transition %s has no reachable %s call: the job's spool entry is never settled, so a restart runs the finished job again (//sync:owned if the job has no spool entry)",
 			calleeName(call), strings.Join(rule.Notify, "/"))
 		return true
 	})

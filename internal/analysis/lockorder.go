@@ -20,9 +20,9 @@ package analysis
 // uses it today; the lockorder and unlockpath fixtures pin it.
 //
 // Exemptions: //sync:ordered <reason> on an acquisition or call site
-// drops its edges (hierarchical same-class nesting such as sweep
-// parent → child). Malformed //sync: directives of any kind are
-// reported here, once per package, for the whole family.
+// drops its edges (hierarchical same-class nesting such as a parent
+// lock taken before its child's). Malformed //sync: directives of any
+// kind are reported here, once per package, for the whole family.
 
 import (
 	"fmt"

@@ -1,8 +1,8 @@
 // Package serve (the directory name puts it in tgsync's checked set)
 // seeds settle-rule violations for golife: a terminal finish call with
-// no reachable jobSettled/aggregateSweep notification — next to the
-// clean, conditional, and annotated twins. The trigger and notify
-// functions themselves are exempt by name.
+// no reachable jobSettled call — next to the clean, conditional, and
+// annotated twins. The trigger and notify functions themselves are
+// exempt by name.
 package serve
 
 type job struct {
@@ -19,12 +19,13 @@ func (j *job) finish(st string) {
 
 func (j *job) jobSettled() {}
 
-// cancelOrphan finishes without notifying the sweep parent.
+// cancelOrphan finishes without settling: its spool entry would survive
+// and a restart would run the finished job again.
 func (j *job) cancelOrphan() {
 	j.finish("canceled") // want "never settle"
 }
 
-// cancelClean notifies after finishing: fine.
+// cancelClean settles after finishing: fine.
 func (j *job) cancelClean() {
 	j.finish("canceled")
 	j.jobSettled()
@@ -40,6 +41,6 @@ func (j *job) cancelMaybe(notify bool) {
 
 // cancelOwned is exempted by annotation.
 func (j *job) cancelOwned() {
-	//sync:owned this job is detached; no sweep parent aggregates it
+	//sync:owned this job is never spooled; there is no entry to settle
 	j.finish("canceled")
 }

@@ -35,25 +35,6 @@ type Failure struct {
 	Panicked bool `json:"panicked,omitempty"`
 }
 
-// SweepCell is one (benchmark, policy) cell of a sweep job's aggregate.
-type SweepCell struct {
-	Benchmark string `json:"benchmark"`
-	Policy    string `json:"policy"`
-	JobID     string `json:"job_id"`
-	State     string `json:"state"`
-	// Error carries the child's failure text for failed cells — each
-	// failed cell is reported here exactly once.
-	Error string `json:"error,omitempty"`
-}
-
-// SweepResult is a sweep job's aggregate: every cell exactly once, with
-// per-cell job IDs so clients can fetch individual results and streams.
-type SweepResult struct {
-	Cells  []SweepCell `json:"cells"`
-	Done   int         `json:"done"`
-	Failed int         `json:"failed"`
-}
-
 // Job is one unit of supervised work. All mutable fields are guarded by
 // mu; the supervisor is the only writer of state transitions.
 type Job struct {
@@ -67,7 +48,6 @@ type Job struct {
 	settledAt time.Time // when the job reached its terminal state (result-TTL eviction)
 	failure   *Failure
 	result    *sim.Result
-	sweep     *SweepResult
 	epoch     int // epoch of the last park, -1 before the first
 	worker    int // worker running (or last to run) the job
 	stream    *StreamBuf
@@ -79,17 +59,11 @@ type Job struct {
 	ckpt []byte
 
 	// cancel tears down the current run attempt with a cause; non-nil
-	// only while running.
+	// exactly while the job is running.
 	cancel context.CancelCauseFunc
 	// startedAt is when the current attempt started (elastic preemption
 	// ages running jobs with it).
 	startedAt time.Time
-
-	// Sweep linkage: parent aggregates its children; a child may have
-	// several parents when dedup shares it.
-	parents  []*Job
-	children []*Job
-	pending  int // children not yet done/failed/canceled (parents only)
 
 	// done is closed on reaching a terminal state (done/failed/canceled).
 	done chan struct{}
@@ -152,7 +126,6 @@ func (j *Job) finish(s JobState) bool {
 // Status is the wire snapshot GET /jobs/{id} returns.
 type Status struct {
 	ID       string   `json:"id"`
-	Kind     string   `json:"kind"`
 	State    JobState `json:"state"`
 	Priority int      `json:"priority"`
 	// Epoch is the epoch the job last parked at (-1 until it parks); it
@@ -160,25 +133,18 @@ type Status struct {
 	Epoch     int      `json:"epoch"`
 	StreamLen int      `json:"stream_len"`
 	Failure   *Failure `json:"failure,omitempty"`
-	// Children lists a sweep's child job IDs in grid order.
-	Children []string `json:"children,omitempty"`
 }
 
 // Snapshot assembles the wire status.
 func (j *Job) Snapshot() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := Status{
+	return Status{
 		ID:        j.ID,
-		Kind:      j.Spec.canonical().Kind,
 		State:     j.state,
 		Priority:  j.Spec.Priority,
 		Epoch:     j.epoch,
 		StreamLen: j.stream.Len(),
 		Failure:   j.failure,
 	}
-	for _, c := range j.children {
-		st.Children = append(st.Children, c.ID)
-	}
-	return st
 }

@@ -58,7 +58,9 @@ func TestQueueSkipsCanceled(t *testing.T) {
 	if err := q.Push(b, false); err != nil {
 		t.Fatal(err)
 	}
-	a.finishLocked(StateCanceled)
+	a.mu.Lock()
+	a.finish(StateCanceled)
+	a.mu.Unlock()
 	stop := make(chan struct{})
 	if j := q.Pop(stop); j != b {
 		t.Fatalf("pop skipped wrong job: got seq %d", j.seq)

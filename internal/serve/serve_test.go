@@ -90,7 +90,7 @@ func newTestSupervisor(t *testing.T, cfg Config) *Supervisor {
 
 func TestSpecIDCanonical(t *testing.T) {
 	sparse := JobSpec{Benchmark: "fft", Policy: "all-on"}
-	explicit := JobSpec{Kind: KindSim, Benchmark: "fft", Policy: "all-on", Seed: 1}
+	explicit := JobSpec{Benchmark: "fft", Policy: "all-on", Seed: 1}
 	if sparse.ID() != explicit.ID() {
 		t.Error("defaults changed the job identity")
 	}
@@ -115,18 +115,13 @@ func TestSpecValidate(t *testing.T) {
 	}{
 		{"default sim", JobSpec{}, true},
 		{"named sim", smallSpec(1), true},
-		{"sweep", JobSpec{Kind: KindSweep, Policies: []string{"all-on"}, Benchmarks: []string{"fft"}}, true},
 		{"faults", JobSpec{Faults: "vr-stuck-off@30:unit=12"}, true},
-		{"bad kind", JobSpec{Kind: "bulk"}, false},
 		{"bad policy", JobSpec{Policy: "warp-speed"}, false},
 		{"bad benchmark", JobSpec{Benchmark: "crysis"}, false},
 		{"bad faults", JobSpec{Faults: "meteor-strike@1"}, false},
-		{"empty sweep", JobSpec{Kind: KindSweep}, false},
-		{"sim with grid", JobSpec{Policies: []string{"all-on"}}, false},
 		{"wild priority", JobSpec{Priority: 10000}, false},
 		{"negative duration", JobSpec{DurationMS: -1}, false},
 		{"run within its warm-up", JobSpec{Policy: "all-on", Benchmark: "fft", DurationMS: 10, WarmupEpochs: 50}, false},
-		{"sweep within its warm-up", JobSpec{Kind: KindSweep, Policies: []string{"all-on"}, Benchmarks: []string{"fft"}, DurationMS: 10, WarmupEpochs: 50}, false},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()
@@ -206,15 +201,21 @@ func TestSubmitRunFetchHTTP(t *testing.T) {
 		t.Fatalf("dedup resubmit: %+v", sub2)
 	}
 
-	// Unknown job is a 404, invalid spec a 400.
+	// Unknown job is a 404, invalid spec a 400. A spec naming a job kind
+	// is invalid: there is one kind, and the key is not part of JobSpec.
 	getJSON(t, ts.URL+"/jobs/ffffffffffffffff", http.StatusNotFound, &apiError{})
-	resp3, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"policy":"warp"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusBadRequest {
-		t.Fatalf("invalid spec returned %d, want 400", resp3.StatusCode)
+	for _, bad := range []string{
+		`{"policy":"warp"}`,
+		`{"kind":"sweep","policies":["all-on"],"benchmarks":["fft"]}`,
+	} {
+		resp3, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp3.Body.Close()
+		if resp3.StatusCode != http.StatusBadRequest {
+			t.Fatalf("invalid spec %s returned %d, want 400", bad, resp3.StatusCode)
+		}
 	}
 }
 
@@ -285,10 +286,20 @@ func TestLoadSheddingWith429(t *testing.T) {
 		t.Errorf("shed counter = %d, want 1", sup.Stats().Shed)
 	}
 	// A shed job leaves no residue: the same spec resubmits fine later.
-	if err := sup.Cancel(running.ID); err != nil {
+	// Canceling the queued job settles it at once, and it is counted
+	// before Done closes, so a caller woken by Done reads it in Stats.
+	if err := sup.Cancel(queued.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := sup.Cancel(queued.ID); err != nil {
+	select {
+	case <-queued.Done():
+	default:
+		t.Fatalf("queued job still %s after Cancel returned", queued.State())
+	}
+	if got := sup.Stats().Canceled; got != 1 {
+		t.Errorf("canceled counter = %d after canceling the queued job, want 1", got)
+	}
+	if err := sup.Cancel(running.ID); err != nil {
 		t.Fatal(err)
 	}
 	<-running.Done()
@@ -385,48 +396,6 @@ func TestCancelRunningJob(t *testing.T) {
 	getJSON(t, ts.URL+"/jobs/"+j.ID+"/result", http.StatusGone, &st)
 	if st.State != StateCanceled {
 		t.Fatalf("tombstone state %s", st.State)
-	}
-}
-
-func TestSweepFanOutAggregateAndDedup(t *testing.T) {
-	sup := newTestSupervisor(t, Config{Workers: 2})
-	sweep := JobSpec{
-		Kind:         KindSweep,
-		Policies:     []string{"all-on"},
-		Benchmarks:   []string{"fft", "lu_ncb"},
-		Seed:         400,
-		DurationMS:   5,
-		WarmupEpochs: 2,
-	}
-	parent, created, err := sup.Submit(sweep)
-	if err != nil || !created {
-		t.Fatalf("submit sweep: created=%v err=%v", created, err)
-	}
-	waitState(t, parent, StateDone)
-	sw, ok := parent.Sweep()
-	if !ok {
-		t.Fatal("done sweep has no aggregate")
-	}
-	if len(sw.Cells) != 2 || sw.Done != 2 || sw.Failed != 0 {
-		t.Fatalf("sweep aggregate: %+v", sw)
-	}
-	for _, cell := range sw.Cells {
-		child, err := sup.Get(cell.JobID)
-		if err != nil {
-			t.Fatalf("child %s unknown: %v", cell.JobID, err)
-		}
-		if _, done := child.Result(); !done {
-			t.Fatalf("child %s not done", cell.JobID)
-		}
-	}
-	// A standalone submission of one cell dedups onto the finished child.
-	cellSpec := JobSpec{Policy: "all-on", Benchmark: "fft", Seed: 400, DurationMS: 5, WarmupEpochs: 2}
-	j, created, err := sup.Submit(cellSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if created || j.State() != StateDone {
-		t.Fatalf("cell dedup: created=%v state=%s", created, j.State())
 	}
 }
 
@@ -542,6 +511,46 @@ func TestSpoolCorruptCheckpointRunsFresh(t *testing.T) {
 	}
 	if ep := j2.Snapshot().Epoch; ep != -1 {
 		t.Errorf("job resumed from epoch %d, want a fresh run", ep)
+	}
+}
+
+// TestSpoolSkipsV1Entries: entries from the schema that still had sweep
+// jobs, byte for byte as that schema wrote them under its own IDs, are
+// neither re-admitted nor deleted. Decoded as today's JobSpec the sweep
+// would come back as a default sim job, and the sim job under a new ID
+// that never removes its old file.
+func TestSpoolSkipsV1Entries(t *testing.T) {
+	spool := t.TempDir()
+	v1 := map[string]string{
+		"072e4e9a80f91ed4.job": `{"schema":"thermogater/serve-spool/v1","spec":{"kind":"sweep","policies":["all-on"],"benchmarks":["fft"],"seed":1300,"duration_ms":5,"warmup_epochs":2},"epoch":-1}`,
+		"5f6747be767cd160.job": `{"schema":"thermogater/serve-spool/v1","spec":{"policy":"all-on","benchmark":"fft","seed":1301,"duration_ms":5,"warmup_epochs":2},"epoch":-1}`,
+	}
+	for name, body := range v1 {
+		if err := os.WriteFile(filepath.Join(spool, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sup, err := NewSupervisor(Config{Workers: 1, SpoolDir: spool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup.mu.Lock()
+	admitted := len(sup.jobs)
+	sup.mu.Unlock()
+	if err := sup.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if admitted != 0 {
+		t.Errorf("re-admitted %d jobs from v1 spool entries, want 0", admitted)
+	}
+	for name, body := range v1 {
+		got, err := os.ReadFile(filepath.Join(spool, name))
+		if err != nil {
+			t.Errorf("v1 entry %s not left in place: %v", name, err)
+		} else if string(got) != body {
+			t.Errorf("v1 entry %s rewritten", name)
+		}
 	}
 }
 

@@ -128,10 +128,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	if sw, ok := j.Sweep(); ok {
-		writeJSON(w, http.StatusOK, sw)
-		return
-	}
 	if res, ok := j.Result(); ok {
 		writeJSON(w, http.StatusOK, res)
 		return

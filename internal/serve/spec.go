@@ -1,6 +1,6 @@
 // Package serve wraps the simulation engine in a long-running HTTP/JSON
-// service: clients submit simulation or sweep jobs, get a content-derived
-// job ID back, stream the run's telemetry as chunked JSONL, and fetch the
+// service: clients submit simulation jobs, get a content-derived job ID
+// back, stream the run's telemetry as chunked JSONL, and fetch the
 // result. The robustness layer is the point of the package — a bounded
 // prioritized queue with load shedding, supervised workers that recover
 // panics into job-failure records, checkpoint-backed preemption, and
@@ -20,27 +20,16 @@ import (
 	"thermogater/internal/workload"
 )
 
-// Job kinds.
-const (
-	KindSim   = "sim"   // one (policy, benchmark) simulation
-	KindSweep = "sweep" // a policies × benchmarks grid, fanned out as child sim jobs
-)
-
 // JobSpec is the submission payload. Everything except Priority is the
 // job's identity: two specs that canonicalise to the same JSON are the
 // same job (same ID, shared execution, shared cached result) — the
 // determinism guarantees of the engine make that dedup free. Priority
 // only orders the queue and is excluded from the hash.
 type JobSpec struct {
-	// Kind selects "sim" (default) or "sweep".
-	Kind string `json:"kind,omitempty"`
-	// Policy and Benchmark name the run for sim jobs (core.ParsePolicy /
+	// Policy and Benchmark name the run (core.ParsePolicy /
 	// workload.ByName names, e.g. "pracVT", "lu_ncb").
 	Policy    string `json:"policy,omitempty"`
 	Benchmark string `json:"benchmark,omitempty"`
-	// Policies and Benchmarks define the grid for sweep jobs.
-	Policies   []string `json:"policies,omitempty"`
-	Benchmarks []string `json:"benchmarks,omitempty"`
 	// Seed drives all stochastic components (default 1).
 	Seed uint64 `json:"seed,omitempty"`
 	// DurationMS truncates the region of interest when positive.
@@ -62,19 +51,10 @@ type JobSpec struct {
 // fields zeroed, so equal jobs hash equally however sparsely the client
 // spelled them.
 func (s JobSpec) canonical() JobSpec {
-	if s.Kind == "" {
-		s.Kind = KindSim
-	}
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
 	s.Priority = 0
-	if len(s.Policies) == 0 {
-		s.Policies = nil
-	}
-	if len(s.Benchmarks) == 0 {
-		s.Benchmarks = nil
-	}
 	return s
 }
 
@@ -96,11 +76,10 @@ func (s JobSpec) ID() string {
 const maxPriority = 100
 
 // Validate rejects malformed specs at the API boundary, before anything
-// is queued: unknown kinds, unparseable policy/benchmark/fault names,
-// out-of-range knobs and configurations the engine would reject all fail
-// fast with a client-attributable error.
+// is queued: unparseable policy/benchmark/fault names, out-of-range
+// knobs and configurations the engine would reject all fail fast with a
+// client-attributable error.
 func (s JobSpec) Validate() error {
-	c := s.canonical()
 	if s.Priority > maxPriority || s.Priority < -maxPriority {
 		return fmt.Errorf("serve: priority %d out of range [%d, %d]", s.Priority, -maxPriority, maxPriority)
 	}
@@ -115,28 +94,10 @@ func (s JobSpec) Validate() error {
 			return fmt.Errorf("serve: fault schedule: %w", err)
 		}
 	}
-	switch c.Kind {
-	case KindSim:
-		if len(s.Policies) > 0 || len(s.Benchmarks) > 0 {
-			return fmt.Errorf("serve: sim job must not set policies/benchmarks lists")
-		}
-		return c.validateConfig()
-	case KindSweep:
-		if len(c.Policies) == 0 || len(c.Benchmarks) == 0 {
-			return fmt.Errorf("serve: sweep job needs non-empty policies and benchmarks lists")
-		}
-		for _, kid := range c.children() {
-			if err := kid.validateConfig(); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("serve: unknown job kind %q", s.Kind)
-	}
+	return s.validateConfig()
 }
 
-// validateConfig checks the engine configuration a sim spec resolves to,
+// validateConfig checks the engine configuration the spec resolves to,
 // so a spec the engine would reject — such as a run no longer than its
 // warm-up — is refused at admission instead of queued to fail.
 func (s JobSpec) validateConfig() error {
@@ -164,35 +125,7 @@ func (s JobSpec) benchmarkName() string {
 	return s.Benchmark
 }
 
-// children expands a sweep spec into its child sim specs, in grid order
-// (benchmarks outer, policies inner). Each child is an ordinary sim job —
-// it goes through the same queue and dedup machinery as a directly
-// submitted one.
-func (s JobSpec) children() []JobSpec {
-	c := s.canonical()
-	if c.Kind != KindSweep {
-		return nil
-	}
-	kids := make([]JobSpec, 0, len(c.Benchmarks)*len(c.Policies))
-	for _, b := range c.Benchmarks {
-		for _, p := range c.Policies {
-			kids = append(kids, JobSpec{
-				Kind:         KindSim,
-				Policy:       p,
-				Benchmark:    b,
-				Seed:         c.Seed,
-				DurationMS:   c.DurationMS,
-				WarmupEpochs: c.WarmupEpochs,
-				SensorNoiseC: c.SensorNoiseC,
-				Faults:       c.Faults,
-				Priority:     s.Priority,
-			})
-		}
-	}
-	return kids
-}
-
-// simConfig builds the engine configuration for a validated sim spec;
+// simConfig builds the engine configuration for a validated spec;
 // telemetry and checkpointing are wired by the caller.
 func (s JobSpec) simConfig() (sim.Config, error) {
 	c := s.canonical()

@@ -12,14 +12,16 @@ import (
 	"thermogater/internal/sim"
 )
 
-// spoolSchema tags spool entries; loadSpool skips anything else.
-const spoolSchema = "thermogater/serve-spool/v1"
+// spoolSchema tags spool entries; loadSpool skips anything else. v1
+// entries predate the removal of sweep jobs: they may hold a sweep and
+// were filed under IDs hashed with a "kind" key, so they are skipped
+// like any unreadable entry.
+const spoolSchema = "thermogater/serve-spool/v2"
 
 // spoolEntry is the on-disk form of an unfinished job: its identity
 // (spec) and its exact resume point — the framed checkpoint plus the
 // stream prefix that belongs to it. A restarted service re-admits the job
-// and continues byte-identically. Entries written by older builds carry
-// an "attempts" key, which decoding ignores.
+// and continues byte-identically.
 type spoolEntry struct {
 	Schema string  `json:"schema"`
 	Spec   JobSpec `json:"spec"`
@@ -76,12 +78,10 @@ func (s *Supervisor) removeSpool(id string) {
 	os.Remove(s.spoolPath(id))
 }
 
-// loadSpool re-admits every spooled job at startup. Sweep parents
-// re-expand through Submit's fan-out (their children dedup against
-// spooled child entries); sim jobs restore their stream prefix and
-// checkpoint and queue for resumption. Unreadable entries are skipped
-// with their files left in place for forensics — one bad entry must not
-// keep the service down.
+// loadSpool re-admits every spooled job at startup: each restores its
+// stream prefix and checkpoint and queues for resumption. Unreadable
+// entries are skipped with their files left in place for forensics —
+// one bad entry must not keep the service down.
 func (s *Supervisor) loadSpool() error {
 	if s.cfg.SpoolDir == "" {
 		return nil
@@ -93,10 +93,6 @@ func (s *Supervisor) loadSpool() error {
 	if err != nil {
 		return err
 	}
-	// Two passes: sim jobs first so sweep parents' fan-out dedups onto
-	// the restored (checkpoint-carrying) children instead of creating
-	// fresh ones.
-	var parents []spoolEntry
 	for _, de := range entries {
 		if de.IsDir() || !strings.HasSuffix(de.Name(), ".job") {
 			continue
@@ -109,23 +105,14 @@ func (s *Supervisor) loadSpool() error {
 		if json.Unmarshal(b, &e) != nil || e.Schema != spoolSchema {
 			continue
 		}
-		if e.Spec.canonical().Kind == KindSweep {
-			parents = append(parents, e)
-			continue
-		}
 		if err := s.admitSpooled(e); err != nil {
 			return fmt.Errorf("serve: re-admitting spooled job %s: %w", e.Spec.ID(), err)
-		}
-	}
-	for _, e := range parents {
-		if _, _, err := s.Submit(e.Spec); err != nil {
-			return fmt.Errorf("serve: re-admitting spooled sweep %s: %w", e.Spec.ID(), err)
 		}
 	}
 	return nil
 }
 
-// admitSpooled recreates one sim job from its spool entry and queues it.
+// admitSpooled recreates one job from its spool entry and queues it.
 // A corrupt checkpoint is caught here, before any reader can see the
 // stream prefix: the job drops both and runs fresh, since a damaged
 // resume point costs the progress, not the job. Any other checkpoint

@@ -169,8 +169,7 @@ func NewSupervisor(cfg Config) (*Supervisor, error) {
 
 // Submit validates, dedups and enqueues a job, returning the job and
 // whether this submission created it (false = dedup hit on a live or
-// completed identical job). Sweep jobs fan out into child sim jobs that
-// each go through the queue individually; the parent occupies no worker.
+// completed identical job).
 func (s *Supervisor) Submit(spec JobSpec) (*Job, bool, error) {
 	if s.draining.Load() {
 		return nil, false, ErrDraining
@@ -199,9 +198,6 @@ func (s *Supervisor) Submit(spec JobSpec) (*Job, bool, error) {
 	s.jobs[id] = j
 	s.mu.Unlock()
 
-	if spec.canonical().Kind == KindSweep {
-		return s.submitSweep(j)
-	}
 	if err := s.q.Push(j, false); err != nil {
 		s.mu.Lock()
 		delete(s.jobs, id)
@@ -212,113 +208,6 @@ func (s *Supervisor) Submit(spec JobSpec) (*Job, bool, error) {
 		return nil, false, err
 	}
 	return j, true, nil
-}
-
-// submitSweep fans a sweep out into child sim jobs. Children dedup
-// against existing jobs (including other sweeps' children and directly
-// submitted sims); cells the cache already completed cost nothing. The
-// whole fan-out is admitted or shed atomically enough for safety: a
-// mid-fan-out queue-full sheds the parent and every child this sweep
-// created that no one else references.
-func (s *Supervisor) submitSweep(parent *Job) (*Job, bool, error) {
-	specs := parent.Spec.children()
-	// The parent holds one pending slot for the duration of the fan-out
-	// so fast-settling children cannot drive pending to zero — and
-	// trigger aggregation over a partial grid — while siblings are still
-	// being admitted. The hold is released after the fan-out; exactly one
-	// decrement observes pending hit zero, so the final aggregation runs
-	// once, from either the release below or a later jobSettled.
-	parent.mu.Lock()
-	parent.pending = 1
-	parent.mu.Unlock()
-	var created []*Job
-	admit := func() error {
-		for _, cs := range specs {
-			id := cs.ID()
-			s.mu.Lock()
-			child, ok := s.jobs[id]
-			if ok {
-				child.mu.Lock()
-				// Failed/canceled children are tombstones: the new sweep
-				// runs the cell fresh instead of inheriting a dead job.
-				if child.state == StateFailed || child.state == StateCanceled {
-					ok = false
-				}
-				child.mu.Unlock()
-			}
-			if !ok {
-				child = newJob(cs, s.seq.Add(1))
-				s.jobs[id] = child
-				created = append(created, child)
-			}
-			// Back-link and pending++ must be atomic under child.mu: if
-			// the child settles concurrently, jobSettled either sees the
-			// parent and finds the matching increment, or sees neither. A
-			// child that is already terminal is counted as settled by not
-			// incrementing — back-linking it would earn a decrement that
-			// was never paid for.
-			parent.mu.Lock()
-			//sync:ordered fan-out locks parent.mu before child.mu; the parent/child hierarchy is acyclic
-			child.mu.Lock()
-			if !terminal(child.state) {
-				child.parents = append(child.parents, parent)
-				parent.pending++
-			}
-			parent.children = append(parent.children, child)
-			child.mu.Unlock()
-			parent.mu.Unlock()
-			s.mu.Unlock()
-			if !ok {
-				if err := s.q.Push(child, false); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := admit(); err != nil {
-		// The fan-out hold is deliberately never released on this path:
-		// pending stays >= 1, so settling children that still back-link
-		// the dead parent can never trigger its aggregation.
-		s.mu.Lock()
-		delete(s.jobs, parent.ID)
-		for _, c := range created {
-			c.mu.Lock()
-			dead := c.state == StateQueued && len(c.parents) == 1
-			c.mu.Unlock()
-			if dead {
-				//sync:owned never-admitted children of a dead fan-out must not notify; the parent's aggregation hold is deliberate
-				c.finishLocked(StateCanceled)
-				delete(s.jobs, c.ID)
-			}
-		}
-		s.mu.Unlock()
-		if errors.Is(err, ErrQueueFull) {
-			s.shed.Add(1)
-		}
-		return nil, false, err
-	}
-	parent.mu.Lock()
-	if !terminal(parent.state) {
-		// Guarded: a cancel that landed mid-fan-out must not be clobbered
-		// back to running (finish would then pass its terminal check and
-		// close done a second time).
-		parent.state = StateRunning
-	}
-	parent.pending-- // release the fan-out hold
-	ready := parent.pending == 0 && !terminal(parent.state)
-	parent.mu.Unlock()
-	if ready {
-		s.aggregateSweep(parent)
-	}
-	return parent, true, nil
-}
-
-// finishLocked is Job.finish behind the job's own lock.
-func (j *Job) finishLocked(st JobState) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.finish(st)
 }
 
 // Get looks a job up by ID.
@@ -333,47 +222,28 @@ func (s *Supervisor) Get(id string) (*Job, error) {
 
 // Cancel terminates a job at the client's request: queued and parked
 // jobs finish immediately, running jobs are cancelled at the next epoch
-// boundary. Sweep parents cancel every child they solely own.
+// boundary.
 func (s *Supervisor) Cancel(id string) error {
 	j, err := s.Get(id)
 	if err != nil {
 		return err
 	}
-	s.cancelJob(j, causeClientCancel)
-	return nil
-}
-
-func (s *Supervisor) cancelJob(j *Job, cause error) {
 	j.mu.Lock()
-	var kids []*Job
 	settled := false
 	switch j.state {
 	case StateRunning:
-		if j.cancel != nil {
-			j.cancel(cause) // the worker finishes the transition
-		} else {
-			// A sweep parent: terminal once its owned children are.
-			kids = append(kids, j.children...)
-		}
+		j.cancel(causeClientCancel) // the worker finishes the transition
 	case StateQueued, StateParked:
 		s.canceled.Add(1) // before finish closes Done, as in runJob
 		settled = j.finish(StateCanceled)
 	}
 	j.mu.Unlock()
 	if settled {
-		// A queued/parked job has no worker to run its settlement:
-		// notify sweep parents (the pending decrement) and drop the
-		// spool entry here, mirroring runJob's cancel path.
+		// A queued/parked job has no worker to run its settlement: drop
+		// the spool entry here, mirroring runJob's cancel path.
 		s.jobSettled(j)
 	}
-	for _, c := range kids {
-		c.mu.Lock()
-		sole := len(c.parents) == 1
-		c.mu.Unlock()
-		if sole {
-			s.cancelJob(c, cause)
-		}
-	}
+	return nil
 }
 
 // Preempt parks a running job now (the elastic monitor's trigger, also
@@ -386,7 +256,7 @@ func (s *Supervisor) Preempt(id string) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state == StateRunning && j.cancel != nil {
+	if j.state == StateRunning {
 		j.cancel(causePreempt)
 	}
 	return nil
@@ -398,7 +268,7 @@ func (s *Supervisor) Stats() Stats {
 	running := 0
 	for _, j := range s.jobs {
 		j.mu.Lock()
-		if j.state == StateRunning && j.cancel != nil {
+		if j.state == StateRunning {
 			running++
 		}
 		j.mu.Unlock()
@@ -446,10 +316,9 @@ func (s *Supervisor) janitor() {
 }
 
 // evictExpired drops terminal jobs that settled more than ResultTTL
-// before now from the job table, returning the eviction count. Sweep
-// aggregation is unaffected: parents hold their children by pointer, not
-// through the table. An evicted ID reads as ErrUnknownJob and an
-// identical resubmission runs fresh.
+// before now from the job table, returning the eviction count. An
+// evicted ID reads as ErrUnknownJob and an identical resubmission runs
+// fresh.
 func (s *Supervisor) evictExpired(now time.Time) int {
 	if s.cfg.ResultTTL <= 0 {
 		return 0
@@ -699,80 +568,16 @@ func (s *jobSink) handOff() {
 	}
 }
 
-// jobSettled runs after a job reaches a terminal state: sweep parents
-// are notified and the spool entry (if any) is deleted.
+// jobSettled runs after a job reaches a terminal state: its spool entry
+// (if any) is deleted, so a restart does not run the job again.
 func (s *Supervisor) jobSettled(j *Job) {
 	s.removeSpool(j.ID)
-	j.mu.Lock()
-	parents := append([]*Job(nil), j.parents...)
-	j.mu.Unlock()
-	for _, p := range parents {
-		p.mu.Lock()
-		p.pending--
-		ready := p.pending == 0 && !terminal(p.state)
-		p.mu.Unlock()
-		if ready {
-			s.aggregateSweep(p)
-		}
-	}
-}
-
-// aggregateSweep assembles a sweep parent's result once every child is
-// terminal: each cell exactly once, in grid order, with failed cells
-// carrying their child's failure text (the service-side counterpart of
-// experiments.Sweep.Failures — partial sweeps complete, failures are
-// reported, nothing is double-counted).
-func (s *Supervisor) aggregateSweep(p *Job) {
-	p.mu.Lock()
-	sw := &SweepResult{}
-	for _, c := range p.children {
-		//sync:ordered aggregation locks parent.mu before each child.mu, the same acyclic hierarchy fan-out uses
-		c.mu.Lock()
-		cell := SweepCell{
-			Benchmark: c.Spec.Benchmark,
-			Policy:    c.Spec.Policy,
-			JobID:     c.ID,
-			State:     string(c.state),
-		}
-		switch c.state {
-		case StateDone:
-			sw.Done++
-		case StateFailed:
-			sw.Failed++
-			if c.failure != nil {
-				cell.Error = c.failure.Error
-			}
-		}
-		c.mu.Unlock()
-		sw.Cells = append(sw.Cells, cell)
-	}
-	p.sweep = sw
-	st := StateDone
-	if sw.Done == 0 && len(sw.Cells) > 0 {
-		st = StateFailed
-		p.failure = &Failure{Error: "serve: every sweep cell failed"}
-	}
-	p.finish(st)
-	p.mu.Unlock()
-	if st == StateDone {
-		s.completed.Add(1)
-	} else {
-		s.failed.Add(1)
-	}
-	s.removeSpool(p.ID)
-}
-
-// Sweep returns a sweep parent's aggregate, if the job is one and done.
-func (j *Job) Sweep() (*SweepResult, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.sweep, j.sweep != nil
 }
 
 // preemptMonitor implements elastic preemption: while work is queued, a
 // job that has held a worker longer than PreemptAfter is parked (it
 // checkpoints and requeues behind its priority peers) so small jobs are
-// not starved by long sweeps.
+// not starved by long ones.
 func (s *Supervisor) preemptMonitor() {
 	defer s.wg.Done()
 	period := s.cfg.PreemptAfter / 4
@@ -794,7 +599,7 @@ func (s *Supervisor) preemptMonitor() {
 		victims := make([]*Job, 0, 4)
 		for _, j := range s.jobs {
 			j.mu.Lock()
-			if j.state == StateRunning && j.cancel != nil && time.Since(j.startedAt) > s.cfg.PreemptAfter {
+			if j.state == StateRunning && time.Since(j.startedAt) > s.cfg.PreemptAfter {
 				victims = append(victims, j)
 			}
 			j.mu.Unlock()
@@ -802,7 +607,7 @@ func (s *Supervisor) preemptMonitor() {
 		s.mu.Unlock()
 		for _, j := range victims {
 			j.mu.Lock()
-			if j.state == StateRunning && j.cancel != nil {
+			if j.state == StateRunning {
 				j.cancel(causePreempt)
 			}
 			j.mu.Unlock()
@@ -823,7 +628,7 @@ func (s *Supervisor) Drain() error {
 	s.mu.Lock()
 	for _, j := range s.jobs {
 		j.mu.Lock()
-		if j.state == StateRunning && j.cancel != nil {
+		if j.state == StateRunning {
 			j.cancel(causeDrain)
 		}
 		j.mu.Unlock()
@@ -855,8 +660,7 @@ func (s *Supervisor) Drain() error {
 	s.mu.Unlock()
 	for _, j := range jobs {
 		j.mu.Lock()
-		pending := j.state == StateQueued || j.state == StateParked ||
-			(j.state == StateRunning && j.cancel == nil && !terminal(j.state))
+		pending := j.state == StateQueued || j.state == StateParked
 		j.mu.Unlock()
 		if pending {
 			spool(j)

@@ -1,9 +1,8 @@
 package serve
 
-// Regression tests for supervisor lifecycle edges: canceled queued work
-// settling its sweep parent, tombstone resubmission, result-cache
-// eviction, goroutine teardown on drain, and the Stats/requeue lock
-// ordering.
+// Regression tests for supervisor lifecycle edges: tombstone
+// resubmission, result-cache eviction, goroutine teardown on drain, and
+// the Stats/requeue lock ordering.
 
 import (
 	"errors"
@@ -34,57 +33,6 @@ func occupyWorker(t *testing.T, sup *Supervisor, seed uint64) func() {
 			t.Fatal(err)
 		}
 		<-long.Done()
-	}
-}
-
-func TestCancelQueuedSweepChildSettlesParent(t *testing.T) {
-	sup := newTestSupervisor(t, Config{Workers: 1})
-	release := occupyWorker(t, sup, 900)
-	defer release()
-
-	parent, created, err := sup.Submit(JobSpec{
-		Kind:         KindSweep,
-		Policies:     []string{"all-on"},
-		Benchmarks:   []string{"lu_ncb"},
-		Seed:         901,
-		DurationMS:   5,
-		WarmupEpochs: 2,
-	})
-	if err != nil || !created {
-		t.Fatalf("submit sweep: created=%v err=%v", created, err)
-	}
-	st := parent.Snapshot()
-	if len(st.Children) != 1 {
-		t.Fatalf("sweep has %d children, want 1", len(st.Children))
-	}
-	child, err := sup.Get(st.Children[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if child.State() != StateQueued {
-		t.Fatalf("child state %s, want queued behind the busy worker", child.State())
-	}
-
-	// Canceling the queued child must settle it AND propagate to the
-	// parent: pending drops to zero and the sweep aggregates instead of
-	// hanging in running forever.
-	if err := sup.Cancel(child.ID); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-parent.Done():
-	case <-after(t, 30*time.Second):
-		t.Fatalf("parent stuck in %s after its only child was canceled", parent.State())
-	}
-	sw, ok := parent.Sweep()
-	if !ok || len(sw.Cells) != 1 {
-		t.Fatalf("sweep aggregate missing: ok=%v sw=%+v", ok, sw)
-	}
-	if sw.Cells[0].State != string(StateCanceled) {
-		t.Errorf("cell state %q, want canceled", sw.Cells[0].State)
-	}
-	if got := sup.Stats().Canceled; got < 1 {
-		t.Errorf("canceled counter = %d, want >= 1", got)
 	}
 }
 
@@ -176,54 +124,6 @@ func TestResultTTLEviction(t *testing.T) {
 		t.Fatalf("post-eviction resubmit: created=%v same=%v", created, j2 == j)
 	}
 	waitState(t, j2, StateDone)
-}
-
-func TestSweepOverFinishedCellsAggregatesImmediately(t *testing.T) {
-	sup := newTestSupervisor(t, Config{Workers: 2})
-	cellA := JobSpec{Policy: "all-on", Benchmark: "fft", Seed: 940, DurationMS: 5, WarmupEpochs: 2}
-	cellB := JobSpec{Policy: "all-on", Benchmark: "lu_ncb", Seed: 940, DurationMS: 5, WarmupEpochs: 2}
-	for _, spec := range []JobSpec{cellA, cellB} {
-		j, _, err := sup.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitState(t, j, StateDone)
-	}
-
-	// Every cell dedups onto an already-terminal child: the fan-out must
-	// aggregate exactly once (via the fan-out hold release) without
-	// clobbering or double-finishing anything.
-	parent, created, err := sup.Submit(JobSpec{
-		Kind:         KindSweep,
-		Policies:     []string{"all-on"},
-		Benchmarks:   []string{"fft", "lu_ncb"},
-		Seed:         940,
-		DurationMS:   5,
-		WarmupEpochs: 2,
-	})
-	if err != nil || !created {
-		t.Fatalf("submit sweep: created=%v err=%v", created, err)
-	}
-	waitState(t, parent, StateDone)
-	sw, ok := parent.Sweep()
-	if !ok || len(sw.Cells) != 2 || sw.Done != 2 || sw.Failed != 0 {
-		t.Fatalf("sweep aggregate over cached cells: ok=%v %+v", ok, sw)
-	}
-	// Resubmitting the sweep dedups onto the done parent.
-	p2, created2, err := sup.Submit(JobSpec{
-		Kind:         KindSweep,
-		Policies:     []string{"all-on"},
-		Benchmarks:   []string{"fft", "lu_ncb"},
-		Seed:         940,
-		DurationMS:   5,
-		WarmupEpochs: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if created2 || p2 != parent {
-		t.Fatalf("done sweep no longer dedups: created=%v", created2)
-	}
 }
 
 func TestStatsDuringRetriesAndPreemptionNoDeadlock(t *testing.T) {

@@ -7,6 +7,8 @@
 #   - jobs panicking mid-stream through the real recovery path (the job
 #     fails, its worker lives on), alone and as a subset of a burst
 #   - repeated and elastic preemption (checkpoint-park-resume)
+#   - canceling a preempted job that waits with its checkpoint, and
+#     resubmitting failed and canceled (tombstoned) specs
 #   - drain/spool/restart cycles, including a corrupt spooled checkpoint
 #   - slow clients and mid-stream disconnects on the streaming path
 #   - jobs carrying injected fault schedules
@@ -27,9 +29,9 @@ cd "$(dirname "$0")/.."
 echo "chaos-serve: in-process chaos suite (race detector on)"
 go test -race -count=1 -timeout 300s -run 'TestChaos' ./internal/serve/
 
-echo "chaos-serve: queue/supervisor robustness (shed, panic, cancel, drain, corrupt spool, park mid-chunk)"
+echo "chaos-serve: queue/supervisor robustness (shed, panic, cancel, tombstones, drain, corrupt spool, park mid-chunk)"
 go test -race -count=1 -timeout 300s \
-  -run 'TestQueue|TestPanicFailsJobWorkerSurvives|TestCancelRunningJob|TestLoadShedding|TestDrainSpoolsAndRestartResumes|TestSpoolCorruptCheckpointRunsFresh|TestParkMidChunkResumesByteIdentical' \
+  -run 'TestQueue|TestPanicFailsJobWorkerSurvives|TestCancelRunningJob|TestCancelParkedJobDropsCheckpoint|TestResubmitAfterTombstoneRunsFresh|TestLoadShedding|TestDrainSpoolsAndRestartResumes|TestSpoolCorruptCheckpointRunsFresh|TestParkMidChunkResumesByteIdentical' \
   ./internal/serve/
 
 echo "chaos-serve: process-level SIGTERM drain + spool restart"
