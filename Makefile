@@ -22,9 +22,8 @@ vet:
 
 # Domain-aware static analysis: the five syntactic passes, the four
 # tgflow passes (unit propagation, NaN-taint tracking, checkpoint field
-# coverage, cache-flush contracts), and the four tgsync
-# synchronization-lifecycle passes (lockorder, unlockpath, blockheld,
-# golife) — see docs/STATIC_ANALYSIS.md.
+# coverage, cache-flush contracts), and the two tgsync lock passes
+# (unlockpath, blockheld) — see docs/STATIC_ANALYSIS.md.
 lint:
 	$(GO) run ./cmd/tglint ./...
 

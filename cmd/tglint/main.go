@@ -1,9 +1,9 @@
-// Command tglint runs the repository's thirteen domain-aware
+// Command tglint runs the repository's eleven domain-aware
 // static-analysis passes — five syntactic ones (detcheck, floatcheck,
 // errsink, aliascheck, invcheck), four tgflow passes (unitflow,
-// nanflow, statecover, cacheflush), and the tgsync
-// synchronization-lifecycle family (lockorder, unlockpath, blockheld,
-// golife); see docs/STATIC_ANALYSIS.md — over go list package patterns:
+// nanflow, statecover, cacheflush), and the two tgsync lock passes
+// (unlockpath, blockheld); see docs/STATIC_ANALYSIS.md — over go list
+// package patterns:
 //
 //	tglint ./...
 //	tglint -passes floatcheck,errsink ./internal/thermal

@@ -71,6 +71,9 @@ func runServe(o serveOptions) error {
 	if err != nil {
 		return err
 	}
+	if n := sup.Stats().SpoolSkipped; n > 0 {
+		fmt.Fprintf(os.Stderr, "tgserve: skipped %d unreadable or old-schema spool entries in %s\n", n, o.cfg.SpoolDir)
+	}
 	srv := &http.Server{
 		Addr:              o.addr,
 		Handler:           serve.NewServer(sup),

@@ -244,6 +244,27 @@ func TestServeSIGTERMDrainRestartByteIdentical(t *testing.T) {
 	}
 }
 
+// TestServeReportsSkippedSpoolEntries: a spool entry the service cannot
+// re-admit is named on stderr at start, so an operator learns of it
+// without listing the spool directory.
+func TestServeReportsSkippedSpoolEntries(t *testing.T) {
+	bin := buildServe(t)
+	spool := t.TempDir()
+	if err := os.WriteFile(filepath.Join(spool, "0123456789abcdef.job"), []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p := startServe(t, bin, freeAddr(t), spool)
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.cmd.Wait(); err != nil {
+		t.Fatalf("server exited uncleanly: %v\n%s", err, p.stderr.String())
+	}
+	if want := "skipped 1 unreadable or old-schema spool entries"; !strings.Contains(p.stderr.String(), want) {
+		t.Fatalf("stderr lacks %q:\n%s", want, p.stderr.String())
+	}
+}
+
 // TestMain keeps subprocess builds honest about the working directory.
 func TestMain(m *testing.M) {
 	if _, err := os.Stat("main.go"); err != nil {

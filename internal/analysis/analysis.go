@@ -1,6 +1,6 @@
 // Package analysis is tglint's pass framework: a small, stdlib-only
 // counterpart of golang.org/x/tools/go/analysis tailored to this
-// repository's domain invariants. Thirteen passes ride on it:
+// repository's domain invariants. Eleven passes ride on it:
 //
 //   - detcheck:   nondeterminism sources in simulation packages
 //   - floatcheck: raw ==/!= on floating-point operands
@@ -17,22 +17,19 @@
 //   - statecover: checkpoint State()/Restore() field-coverage verification
 //   - cacheflush: topology/geometry mutations are followed by their flush
 //
-// plus the tgsync family policing synchronization lifecycles in the
-// supervision layer (syncutil.go):
+// plus the two tgsync passes policing lock use in the supervision layer
+// (syncutil.go):
 //
-//   - lockorder:  whole-repo lock-acquisition ordering via held-set
-//     abstract interpretation and per-function lock summaries; cycle
-//     reports name both chains
 //   - unlockpath: every Lock/RLock post-dominated by its matching
 //     release (or defer) on all paths to return
 //   - blockheld:  no channel waits, defaultless selects, sleeps, or
 //     (interprocedurally) I/O while a lock is held
-//   - golife:     every spawned goroutine, timer, and terminal job
-//     transition has a reachable teardown / settle path
 //
-// The steady-state allocation contract is not a lint pass: the exact
-// dynamic gate in internal/sim/alloc_test.go enforces it, and the race
-// detector covers unsynchronized goroutine writes.
+// Contracts an exact dynamic gate enforces are not lint passes: the
+// steady-state allocation contract (internal/sim/alloc_test.go),
+// unsynchronized goroutine writes (the race detector), and the service's
+// lock order and goroutine teardown (serve tests that fail at a deadline
+// with a goroutine dump; docs/ROBUSTNESS.md, "Locking").
 //
 // Packages are loaded with go/parser and type-checked with go/types
 // against the build cache's export data (see load.go), so the framework
@@ -147,12 +144,12 @@ func (p *Pass) ObjectOf(fun ast.Expr) types.Object {
 
 // All returns the domain analyzers in their canonical order: unitflow,
 // the five syntactic passes, the three other tgflow passes, then the
-// four tgsync synchronization-lifecycle passes.
+// two tgsync lock passes.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Unitflow, Detcheck, Floatcheck, Errsink, Aliascheck, Invcheck,
 		Nanflow, Statecover, Cacheflush,
-		Lockorder, Unlockpath, Blockheld, Golife,
+		Unlockpath, Blockheld,
 	}
 }
 

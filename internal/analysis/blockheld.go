@@ -50,7 +50,7 @@ func runBlockheld(pass *Pass) {
 		return
 	}
 	sums := prog.BlockSummaries()
-	anns := syncAnns(prog)
+	anns, _ := buildSyncAnns(pass.Fset, pass.Files, "")
 
 	report := func(pos token.Pos, what string, st *heldState) {
 		posn := pass.Fset.Position(pos)
@@ -222,8 +222,8 @@ func heldDesc(pkg *Package, st *heldState) string {
 		posn  token.Position
 	}
 	hs := make([]held, 0, len(st.held))
-	for c, info := range st.held {
-		hs = append(hs, held{class: c, posn: pkg.Fset.Position(info.pos)})
+	for c, pos := range st.held {
+		hs = append(hs, held{class: c, posn: pkg.Fset.Position(pos)})
 	}
 	sort.Slice(hs, func(i, j int) bool {
 		if pk := posKey(hs[i].posn); pk != posKey(hs[j].posn) {

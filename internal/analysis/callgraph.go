@@ -67,12 +67,8 @@ type Program struct {
 	unitSums  map[string]*unitSummary
 	taintOnce sync.Once
 	taintSums map[string]*taintSummary
-	lockOnce  sync.Once
-	lockSums  map[string]lockSummary
 	blockOnce sync.Once
 	blockSums map[string]*blockFact
-	tearOnce  sync.Once
-	tearSums  map[string]bool
 }
 
 // FuncKey canonically names a function object across packages:
@@ -265,30 +261,4 @@ func (p *Program) pkgByPath(path string) *Package {
 		}
 	}
 	return nil
-}
-
-// depClosure returns the import paths of target plus its transitive
-// dependencies, walked over the type-checker's package graph (export
-// data included), so a finding in target depends only on code target
-// can reach. The closure can under-approximate go list's -deps for
-// packages only reachable through unexported API, which at worst drops
-// a lock edge.
-func depClosure(target *Package) map[string]bool {
-	seen := map[string]bool{target.ImportPath: true}
-	var walk func(p *types.Package)
-	walk = func(p *types.Package) {
-		if p == nil || seen[p.Path()] {
-			return
-		}
-		seen[p.Path()] = true
-		for _, imp := range p.Imports() {
-			walk(imp)
-		}
-	}
-	if target.Types != nil {
-		for _, imp := range target.Types.Imports() {
-			walk(imp)
-		}
-	}
-	return seen
 }

@@ -71,30 +71,13 @@ type Config struct {
 
 	Tgsync struct {
 		// Packages lists the concurrency-infrastructure packages (base
-		// names or full import paths) blockheld and the golife settle
-		// rules police. lockorder/unlockpath and the goroutine/timer
-		// checks run everywhere.
+		// names or full import paths) blockheld polices; unlockpath runs
+		// everywhere.
 		Packages []string
 		// Blocking lists import-path prefixes whose calls count as
 		// blocking I/O while a lock is held.
 		Blocking []string
-		// StopNames are lower-case name fragments that mark a channel as
-		// a stop/teardown signal for golife's forever-loop check.
-		StopNames []string
-		// Settle declares golife's trigger→notify obligations: a call to
-		// a Trigger outside the settle machinery must have a Notify call
-		// reachable in its CFG.
-		Settle []SettleRule
 	}
-}
-
-// SettleRule is one golife settle obligation: Triggers are the
-// terminal-transition functions, Notify the settle calls that must stay
-// reachable from every trigger call site. Functions named in either
-// list are themselves exempt (they ARE the machinery).
-type SettleRule struct {
-	Triggers []string
-	Notify   []string
 }
 
 // CacheflushRule declares one mutation-implies-flush invariant for the
@@ -143,12 +126,6 @@ func DefaultConfig() *Config {
 	}
 	c.Tgsync.Packages = []string{"serve", "sim", "experiments"}
 	c.Tgsync.Blocking = []string{"os", "net", "io", "bufio"}
-	c.Tgsync.StopNames = []string{
-		"stop", "quit", "done", "cancel", "exit", "kill", "term", "shutdown", "abort",
-	}
-	c.Tgsync.Settle = []SettleRule{
-		{Triggers: []string{"finish", "finishLocked"}, Notify: []string{"jobSettled"}},
-	}
 	return c
 }
 

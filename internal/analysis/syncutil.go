@@ -1,19 +1,19 @@
 package analysis
 
-// syncutil.go — shared machinery for the tgsync pass family (lockorder,
-// unlockpath, blockheld, golife). The four passes police the
-// synchronization-lifecycle contract docs/ROBUSTNESS.md §"Locking"
-// documents for the service layer: locks are acquired in one global
-// order, every acquisition is released on every path, nothing blocks
-// while a lock is held, and every goroutine/timer has a teardown path.
+// syncutil.go — shared machinery for the tgsync passes (unlockpath,
+// blockheld). The two passes police the part of the synchronization
+// contract docs/ROBUSTNESS.md §"Locking" documents for the service layer
+// that no test gates: every acquisition is released on every path, and
+// nothing blocks while a lock is held. The lock order and goroutine
+// teardown are gated by serve tests instead.
 //
 // This file contributes four ingredients:
 //
 //   - lock identity: a Lock/Unlock/RLock/RUnlock call resolved to the
 //     *lock class* it operates on. A mutex struct field is keyed by the
 //     owning named type ("pkg.(Job).mu"), so every instance of the type
-//     shares one node in the lock graph; package-level mutexes are keyed
-//     by the variable, locals by enclosing function + name.
+//     shares one class; package-level mutexes are keyed by the variable,
+//     locals by enclosing function + name.
 //
 //   - an abstract interpreter over function bodies that threads a
 //     held-lock set through Go's structured control flow (AST-directed
@@ -23,27 +23,18 @@ package analysis
 //     emission, so a lock carried around a loop back-edge is observed
 //     without duplicate reports.
 //
-//   - SCC-fixpoint summaries on the tgflow call graph: which foreign
-//     locks a function acquires (and which caller-held locks it is
-//     guaranteed to release first), whether a function may block, and
-//     whether a function contains a teardown construct.
+//   - SCC-fixpoint may-block summaries on the tgflow call graph.
 //
 //   - the //sync: annotation grammar for audited exceptions:
 //
-//       //sync:ordered <reason>      nested same-class acquisition is
-//                                    hierarchical, not cyclic (lockorder)
 //       //sync:balanced <reason>     lock ownership crosses the function
-//                                    boundary by contract (unlockpath,
-//                                    lockorder edge suppression)
+//                                    boundary by contract (unlockpath)
 //       //sync:nonblocking <reason>  the flagged op cannot block here
 //                                    (blockheld)
-//       //sync:owned <reason>        lifecycle/teardown is managed
-//                                    elsewhere (golife)
 //
 //     A directive covers its own line and the line below, the reason is
 //     mandatory, and malformed directives are findings (reported once
-//     per package by lockorder, the family head) — mirroring
-//     //lint:ignore.
+//     per package by unlockpath) — mirroring //lint:ignore.
 
 import (
 	"go/ast"
@@ -52,7 +43,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // ---------------------------------------------------------------------------
@@ -61,44 +51,16 @@ import (
 const syncAnnPrefix = "//sync:"
 
 var syncAnnKinds = map[string]bool{
-	"ordered":     true,
 	"balanced":    true,
 	"nonblocking": true,
-	"owned":       true,
 }
 
 // buildSyncAnns scans the files for //sync: directives. Malformed ones
-// come back as diagnostics attributed to the given pass; lockorder
+// come back as diagnostics attributed to the given pass; unlockpath
 // reports them so they surface exactly once per package.
 func buildSyncAnns(fset *token.FileSet, files []*ast.File, reportPass string) (annIndex, []Diagnostic) {
 	return buildAnnIndex(fset, files, syncAnnPrefix, syncAnnKinds,
-		"ordered, balanced, nonblocking or owned", reportPass)
-}
-
-// syncAnnCache lazily builds the program-wide annotation index: an edge
-// suppressed with //sync:ordered in package B must stay suppressed when
-// the lock graph is assembled for package A's report.
-type syncAnnState struct {
-	once sync.Once
-	idx  annIndex
-}
-
-var syncAnnCache sync.Map // *Program → *syncAnnState
-
-// syncAnns returns the //sync: index over every package of the program.
-func syncAnns(prog *Program) annIndex {
-	v, _ := syncAnnCache.LoadOrStore(prog, &syncAnnState{})
-	st := v.(*syncAnnState)
-	st.once.Do(func() {
-		st.idx = make(annIndex)
-		for _, pkg := range prog.Pkgs {
-			idx, _ := buildSyncAnns(pkg.Fset, pkg.Files, "")
-			for file, byLine := range idx {
-				st.idx[file] = byLine
-			}
-		}
-	})
-	return st.idx
+		"balanced or nonblocking", reportPass)
 }
 
 // shortPos renders a cross-reference position compactly.
@@ -275,49 +237,27 @@ func litUnits(root ast.Node, encl string) []*syncUnit {
 // ---------------------------------------------------------------------------
 // Held-lock abstract interpretation
 
-// heldInfo records one held lock: where it was acquired and in which
-// mode.
-type heldInfo struct {
-	pos token.Pos
-	op  lockOp
-}
-
 // heldState is the interpreter's lattice value at a program point:
 //
 //   - held is a MAY set (union at joins, keeping the earliest site):
-//     locks that can be held here on some path. Lock-graph edges and
-//     blocking-while-locked reports come from it.
-//
-//   - released is a MUST set (intersection at joins): foreign locks —
-//     locks this unit never acquired itself — that an explicit Unlock
-//     has released on every path. It models the documented handoff
-//     pattern "callee releases the caller's lock before taking another",
-//     which would otherwise complete a spurious ABBA cycle through the
-//     callee summary.
+//     locks that can be held here on some path, each with the position
+//     it was acquired at. Blocking-while-locked reports come from it.
 //
 //   - dead marks a state below a return: joins ignore it, so a branch
 //     that unlocks and returns does not pollute the fallthrough state.
 type heldState struct {
-	held     map[string]heldInfo
-	released map[string]bool
-	dead     bool
+	held map[string]token.Pos
+	dead bool
 }
 
 func newHeldState() *heldState {
-	return &heldState{held: map[string]heldInfo{}, released: map[string]bool{}}
+	return &heldState{held: map[string]token.Pos{}}
 }
 
 func (st *heldState) clone() *heldState {
-	c := &heldState{
-		held:     make(map[string]heldInfo, len(st.held)),
-		released: make(map[string]bool, len(st.released)),
-		dead:     st.dead,
-	}
+	c := &heldState{held: make(map[string]token.Pos, len(st.held)), dead: st.dead}
 	for k, v := range st.held {
 		c.held[k] = v
-	}
-	for k := range st.released {
-		c.released[k] = true
 	}
 	return c
 }
@@ -328,32 +268,22 @@ func (a *heldState) join(b *heldState) {
 		return
 	}
 	if a.dead {
-		a.held, a.released, a.dead = b.held, b.released, false
+		a.held, a.dead = b.held, false
 		return
 	}
 	for k, v := range b.held {
-		if cur, have := a.held[k]; !have || v.pos < cur.pos {
+		if cur, have := a.held[k]; !have || v < cur {
 			a.held[k] = v
-		}
-	}
-	for k := range a.released {
-		if !b.released[k] {
-			delete(a.released, k)
 		}
 	}
 }
 
 func (a *heldState) equal(b *heldState) bool {
-	if a.dead != b.dead || len(a.held) != len(b.held) || len(a.released) != len(b.released) {
+	if a.dead != b.dead || len(a.held) != len(b.held) {
 		return false
 	}
 	for k, v := range a.held {
-		if bv, have := b.held[k]; !have || bv.pos != v.pos {
-			return false
-		}
-	}
-	for k := range a.released {
-		if !b.released[k] {
+		if bv, have := b.held[k]; !have || bv != v {
 			return false
 		}
 	}
@@ -365,8 +295,6 @@ func (a *heldState) equal(b *heldState) bool {
 // invoked on the emission pass (once per syntactic site), never during
 // loop fixpoint probes.
 type syncVisitor struct {
-	acquire  func(class string, op lockOp, call *ast.CallExpr, st *heldState)
-	release  func(class string, op lockOp, call *ast.CallExpr, st *heldState)
 	call     func(call *ast.CallExpr, st *heldState)
 	send     func(pos token.Pos, st *heldState)
 	recv     func(pos token.Pos, st *heldState)
@@ -383,14 +311,11 @@ type heldWalker struct {
 	inComm bool // suppress send/recv events for a select's comm clauses
 }
 
-// walkHeld runs the interpreter over a unit with an empty entry state
-// and returns the exit state (the join over all return points is not
-// tracked; callers needing per-return facts use the CFG passes).
-func walkHeld(pkg *Package, u *syncUnit, vis *syncVisitor) *heldState {
+// walkHeld runs the interpreter over a unit from an empty entry state,
+// feeding its events to vis.
+func walkHeld(pkg *Package, u *syncUnit, vis *syncVisitor) {
 	w := &heldWalker{pkg: pkg, encl: u.name, vis: vis, emit: true}
-	st := newHeldState()
-	w.stmtList(st, u.decl.Body.List)
-	return st
+	w.stmtList(newHeldState(), u.decl.Body.List)
 }
 
 func (w *heldWalker) stmtList(st *heldState, list []ast.Stmt) {
@@ -612,124 +537,15 @@ func (w *heldWalker) expr(st *heldState, e ast.Expr) {
 func (w *heldWalker) callExpr(st *heldState, call *ast.CallExpr) {
 	if class, op, isLockOp := resolveLockOp(w.pkg, w.encl, call); isLockOp {
 		if op.acquires() {
-			if w.emit && w.vis.acquire != nil {
-				w.vis.acquire(class, op, call, st)
-			}
-			st.held[class] = heldInfo{pos: call.Pos(), op: op}
-			delete(st.released, class)
+			st.held[class] = call.Pos()
 		} else {
-			if w.emit && w.vis.release != nil {
-				w.vis.release(class, op, call, st)
-			}
-			if _, have := st.held[class]; have {
-				delete(st.held, class)
-			} else {
-				// Releasing a lock this unit never acquired: the caller
-				// handed it over. Record the guaranteed release so callee
-				// summaries do not conjure a phantom ordering edge.
-				st.released[class] = true
-			}
+			delete(st.held, class)
 		}
 		return
 	}
 	if w.emit && w.vis.call != nil {
 		w.vis.call(call, st)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Lock-acquisition summaries (lockorder)
-
-// lockAcq describes one lock class a function may acquire, directly or
-// transitively: where (in the summarized function), through which chain,
-// and which caller-held classes are guaranteed released before the
-// acquisition on every path.
-type lockAcq struct {
-	where    string          // formatted site in the summarized function
-	via      string          // " via <chain>" suffix for transitive acquisitions
-	released map[string]bool // MUST-released foreign classes before this acquisition
-}
-
-// lockSummary maps acquired lock class → acquisition record.
-type lockSummary map[string]*lockAcq
-
-// LockSummaries computes (once) the per-function lock-acquisition table,
-// keyed by FuncKey, bottom-up over the call-graph SCCs.
-func (p *Program) LockSummaries() map[string]lockSummary {
-	p.lockOnce.Do(func() {
-		p.lockSums = make(map[string]lockSummary, len(p.Funcs))
-		for key := range p.Funcs {
-			p.lockSums[key] = lockSummary{}
-		}
-		forEachSCCFixpoint(p, func(fn *FlowFunc) bool {
-			return updateLockSummary(p, fn)
-		})
-	})
-	return p.lockSums
-}
-
-// mergeAcq folds one acquisition fact into a summary. The acquisition
-// set only grows and the released sets only shrink, so the SCC fixpoint
-// terminates.
-func mergeAcq(sum lockSummary, class, where, via string, released map[string]bool) bool {
-	cur := sum[class]
-	if cur == nil {
-		rel := make(map[string]bool, len(released))
-		for k := range released {
-			rel[k] = true
-		}
-		sum[class] = &lockAcq{where: where, via: via, released: rel}
-		return true
-	}
-	changed := false
-	for k := range cur.released {
-		if !released[k] {
-			delete(cur.released, k)
-			changed = true
-		}
-	}
-	return changed
-}
-
-func updateLockSummary(p *Program, fn *FlowFunc) bool {
-	sum := p.lockSums[fn.Key]
-	changed := false
-	u := &syncUnit{name: fn.Decl.Name.Name, decl: fn.Decl}
-	walkHeld(fn.Pkg, u, &syncVisitor{
-		acquire: func(class string, op lockOp, call *ast.CallExpr, st *heldState) {
-			if mergeAcq(sum, class, shortPos(fn.Pkg.Fset.Position(call.Pos())), "", st.released) {
-				changed = true
-			}
-		},
-		call: func(call *ast.CallExpr, st *heldState) {
-			callee := calleeFunc(fn.Pkg, call)
-			if callee == nil {
-				return
-			}
-			cs := p.lockSums[FuncKey(callee)]
-			if len(cs) == 0 {
-				return
-			}
-			where := shortPos(fn.Pkg.Fset.Position(call.Pos()))
-			for class, acq := range cs {
-				rel := make(map[string]bool, len(st.released)+len(acq.released))
-				for k := range st.released {
-					rel[k] = true
-				}
-				for k := range acq.released {
-					rel[k] = true
-				}
-				via := " via " + displayClass(FuncKey(callee))
-				if acq.via != "" {
-					via = acq.via
-				}
-				if mergeAcq(sum, class, where, via, rel) {
-					changed = true
-				}
-			}
-		},
-	})
-	return changed
 }
 
 // ---------------------------------------------------------------------------
@@ -814,96 +630,7 @@ func findBlockFact(p *Program, fn *FlowFunc) *blockFact {
 }
 
 // ---------------------------------------------------------------------------
-// Teardown summaries (golife)
-
-// TeardownSummaries computes (once) which functions contain a teardown
-// construct — a receive/select on a stop-named channel or ctx.Done(), or
-// a range over a channel — directly or through an internal callee. A
-// forever-loop goroutine body whose loop reaches one of these has a
-// shutdown path.
-func (p *Program) TeardownSummaries() map[string]bool {
-	p.tearOnce.Do(func() {
-		p.tearSums = make(map[string]bool, len(p.Funcs))
-		forEachSCCFixpoint(p, func(fn *FlowFunc) bool {
-			if p.tearSums[fn.Key] {
-				return false
-			}
-			if hasTeardown(p, fn.Pkg, fn.Decl.Body, p.tearSums) {
-				p.tearSums[fn.Key] = true
-				return true
-			}
-			return false
-		})
-	})
-	return p.tearSums
-}
-
-// hasTeardown scans one body (nested literals excluded: they run on
-// their own goroutines) for a teardown construct. sums may be nil for a
-// purely syntactic scan.
-func hasTeardown(p *Program, pkg *Package, body ast.Node, sums map[string]bool) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && isTeardownChan(p.Config, n.X) {
-				found = true
-			}
-		case *ast.RangeStmt:
-			if t := typeOf(pkg.Info, n.X); t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					found = true
-				}
-			}
-		case *ast.CallExpr:
-			if sums == nil {
-				return true
-			}
-			if callee := calleeFunc(pkg, n); callee != nil && sums[FuncKey(callee)] {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// isTeardownChan recognizes stop/shutdown channel expressions: any
-// *.Done() call (context.Context, serve.Job), or a channel whose
-// terminal name contains a configured stop fragment.
-func isTeardownChan(cfg *Config, e ast.Expr) bool {
-	e = ast.Unparen(e)
-	if call, isCall := e.(*ast.CallExpr); isCall {
-		if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel && sel.Sel.Name == "Done" {
-			return true
-		}
-		return false
-	}
-	var name string
-	switch e := e.(type) {
-	case *ast.Ident:
-		name = e.Name
-	case *ast.SelectorExpr:
-		name = e.Sel.Name
-	default:
-		return false
-	}
-	name = strings.ToLower(name)
-	for _, frag := range cfg.Tgsync.StopNames {
-		if strings.Contains(name, frag) {
-			return true
-		}
-	}
-	return false
-}
-
-// ---------------------------------------------------------------------------
-// Post-dominance (unlockpath, golife)
+// Post-dominance (unlockpath)
 
 // callPostdominates reports whether every path from stmt (a statement of
 // cfg) to the exit encounters a statement for which match returns true,

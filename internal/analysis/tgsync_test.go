@@ -1,40 +1,12 @@
 package analysis
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-func TestLockorderFixture(t *testing.T)    { checkFixture(t, Lockorder, "lockorder/requeue") }
-func TestUnlockpathFixture(t *testing.T)   { checkFixture(t, Unlockpath, "unlockpath/paths") }
-func TestBlockheldFixture(t *testing.T)    { checkFixture(t, Blockheld, "blockheld/serve") }
-func TestGolifeFixture(t *testing.T)       { checkFixture(t, Golife, "golife/life") }
-func TestGolifeSettleFixture(t *testing.T) { checkFixture(t, Golife, "golife/serve") }
+func TestUnlockpathFixture(t *testing.T) { checkFixture(t, Unlockpath, "unlockpath/paths") }
+func TestBlockheldFixture(t *testing.T)  { checkFixture(t, Blockheld, "blockheld/serve") }
 
-// TestLockorderMalformedDirectives asserts both seeded broken //sync:
+// TestUnlockpathMalformedDirectives asserts both seeded broken //sync:
 // directives through the shared baddir helper.
-func TestLockorderMalformedDirectives(t *testing.T) {
-	checkMalformedDirectives(t, Lockorder, "lockorder/baddir", "unknown //sync: annotation kind sequential")
-}
-
-// TestLockorderReportsBothChains pins the report shape on the distilled
-// requeue inversion: one diagnostic whose message names both lock
-// classes and the nextSeq call that closes the loop — and does NOT name
-// classify, whose release-before-acquire handoff must-release tracking
-// is supposed to erase.
-func TestLockorderReportsBothChains(t *testing.T) {
-	pkg := loadFixture(t, "lockorder/requeue")
-	diags := Run([]*Package{pkg}, []*Analyzer{Lockorder}, DefaultConfig())
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want exactly 1 cycle report: %v", len(diags), diags)
-	}
-	msg := diags[0].Message
-	for _, want := range []string{"(Supervisor).mu", "(Job).mu", "nextSeq"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("cycle message missing %q: %s", want, msg)
-		}
-	}
-	if strings.Contains(msg, "classify") {
-		t.Errorf("classify handoff leaked into the cycle (must-release tracking broken): %s", msg)
-	}
+func TestUnlockpathMalformedDirectives(t *testing.T) {
+	checkMalformedDirectives(t, Unlockpath, "unlockpath/baddir", "unknown //sync: annotation kind sequential")
 }

@@ -15,6 +15,8 @@ package analysis
 //     the cross-function handoff pattern — unless //sync:balanced
 //     documents the ownership transfer. The same annotation exempts an
 //     acquisition whose release lives in a callee.
+//   - malformed //sync: directives of either kind, once per package,
+//     for both tgsync passes.
 //
 // A `defer func() { ...; mu.Unlock() }()` literal counts as a deferred
 // unlock of the enclosing function, not as an orphan in the literal.
@@ -38,7 +40,8 @@ type lockEvent struct {
 }
 
 func runUnlockpath(pass *Pass) {
-	anns, _ := buildSyncAnns(pass.Fset, pass.Files, "")
+	anns, bad := buildSyncAnns(pass.Fset, pass.Files, "unlockpath")
+	pass.diags = append(pass.diags, bad...)
 	pkg := &Package{
 		ImportPath: pass.ImportPath,
 		Fset:       pass.Fset,

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -31,6 +32,14 @@ func after(t *testing.T, d time.Duration) <-chan time.Time {
 	tm := time.NewTimer(d)
 	t.Cleanup(func() { tm.Stop() })
 	return tm.C
+}
+
+// goroutineDump returns the stacks of every goroutine, for a test that
+// gives up on a wedged supervisor: the dump shows which lock or channel
+// each party waits on.
+func goroutineDump() string {
+	buf := make([]byte, 1<<20)
+	return string(buf[:runtime.Stack(buf, true)])
 }
 
 // waitState polls until the job reaches the wanted state or the deadline.
@@ -544,6 +553,9 @@ func TestSpoolSkipsV1Entries(t *testing.T) {
 	if admitted != 0 {
 		t.Errorf("re-admitted %d jobs from v1 spool entries, want 0", admitted)
 	}
+	if got := sup.Stats().SpoolSkipped; got != 2 {
+		t.Errorf("spool_skipped = %d, want 2", got)
+	}
 	for name, body := range v1 {
 		got, err := os.ReadFile(filepath.Join(spool, name))
 		if err != nil {
@@ -551,6 +563,87 @@ func TestSpoolSkipsV1Entries(t *testing.T) {
 		} else if string(got) != body {
 			t.Errorf("v1 entry %s rewritten", name)
 		}
+	}
+}
+
+// TestCancelSpooledJobStaysCanceledAfterRestart: a job re-admitted from
+// the spool and canceled while it waits, queued or parked with its
+// checkpoint, loses its spool entry, so the next restart over the same
+// spool does not run it again.
+func TestCancelSpooledJobStaysCanceledAfterRestart(t *testing.T) {
+	spool := t.TempDir()
+	cfg := Config{Workers: 2, SpoolDir: spool, FrozenClock: true}
+
+	// First life: the occupier and the parked job run, the queued job
+	// waits behind them, and the drain spools all three.
+	occSpec := longSpec(960)
+	occSpec.Priority = 10
+	sup, err := NewSupervisor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	occ, _, err := sup.Submit(occSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked, _, err := sup.Submit(longSpec(961))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, occ, StateRunning)
+	waitState(t, parked, StateRunning)
+	waitStreamLen(t, parked, 2048)
+	queued, _, err := sup.Submit(smallSpec(962))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []*Job{occ, parked, queued} {
+		if _, err := os.Stat(filepath.Join(spool, j.ID+".job")); err != nil {
+			t.Fatalf("job %s (%s) not spooled: %v", j.ID, j.State(), err)
+		}
+	}
+	if ep := parked.Snapshot().Epoch; ep < 0 {
+		t.Fatalf("drain left no checkpoint for the running job (epoch %d)", ep)
+	}
+
+	// Second life, one worker: the occupier's priority puts it on the
+	// worker, so the other two wait while they are canceled.
+	cfg.Workers = 1
+	sup2, err := NewSupervisor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []*Job{parked, queued} {
+		if err := sup2.Cancel(j.ID); err != nil {
+			t.Fatal(err)
+		}
+		j2, err := sup2.Get(j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := j2.State(); st != StateCanceled {
+			t.Fatalf("re-admitted job %s is %s after cancel, want canceled", j.ID, st)
+		}
+	}
+	if err := sup2.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Third life: the canceled jobs are gone for good.
+	sup3 := newTestSupervisor(t, cfg)
+	for _, j := range []*Job{parked, queued} {
+		if _, err := os.Stat(filepath.Join(spool, j.ID+".job")); !os.IsNotExist(err) {
+			t.Errorf("canceled job %s keeps its spool entry (err=%v)", j.ID, err)
+		}
+		if j3, err := sup3.Get(j.ID); err == nil {
+			t.Errorf("canceled job %s came back after restart in state %s", j.ID, j3.State())
+		}
+	}
+	if _, err := sup3.Get(occ.ID); err != nil {
+		t.Errorf("uncanceled occupier lost across the restart: %v", err)
 	}
 }
 

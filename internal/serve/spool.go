@@ -80,8 +80,9 @@ func (s *Supervisor) removeSpool(id string) {
 
 // loadSpool re-admits every spooled job at startup: each restores its
 // stream prefix and checkpoint and queues for resumption. Unreadable
-// entries are skipped with their files left in place for forensics —
-// one bad entry must not keep the service down.
+// entries and entries of another schema are skipped with their files
+// left in place for forensics — one bad entry must not keep the service
+// down — and counted in Stats.SpoolSkipped.
 func (s *Supervisor) loadSpool() error {
 	if s.cfg.SpoolDir == "" {
 		return nil
@@ -98,11 +99,9 @@ func (s *Supervisor) loadSpool() error {
 			continue
 		}
 		b, err := os.ReadFile(filepath.Join(s.cfg.SpoolDir, de.Name()))
-		if err != nil {
-			continue
-		}
 		var e spoolEntry
-		if json.Unmarshal(b, &e) != nil || e.Schema != spoolSchema {
+		if err != nil || json.Unmarshal(b, &e) != nil || e.Schema != spoolSchema {
+			s.spoolSkipped.Add(1)
 			continue
 		}
 		if err := s.admitSpooled(e); err != nil {

@@ -103,6 +103,10 @@ type Stats struct {
 	Retries  int64 `json:"retries"`
 	Evicted  int64 `json:"evicted"`
 	Draining bool  `json:"draining"`
+	// SpoolSkipped counts the spool entries NewSupervisor could not
+	// re-admit: unreadable files and entries of another schema. They stay
+	// on disk untouched.
+	SpoolSkipped int64 `json:"spool_skipped"`
 	// ThetaHits and ThetaMisses count the practical jobs whose θ fit came
 	// from the supervisor's sim.ThetaMemo and those that profiled afresh.
 	ThetaHits   int64 `json:"theta_hits"`
@@ -122,7 +126,8 @@ type Supervisor struct {
 	// seq allocates the queue's FIFO tie-break numbers. Atomic rather
 	// than s.mu-guarded: requeue bumps it while holding j.mu, and the
 	// lock order everywhere else is s.mu → j.mu (Stats, preemptMonitor,
-	// Drain, Submit), so taking s.mu there would be an ABBA deadlock.
+	// Drain, Submit), so taking s.mu there would be an ABBA deadlock —
+	// one TestStatsDuringRetriesAndPreemptionNoDeadlock fails on.
 	seq atomic.Uint64
 
 	stop     chan struct{}
@@ -135,7 +140,7 @@ type Supervisor struct {
 
 	submitted, deduped, shed, completed atomic.Int64
 	failed, canceled, evicted           atomic.Int64
-	preempted, crashes                  atomic.Int64
+	preempted, crashes, spoolSkipped    atomic.Int64
 }
 
 // NewSupervisor builds the supervisor, reloads any spooled jobs from
@@ -239,9 +244,9 @@ func (s *Supervisor) Cancel(id string) error {
 	}
 	j.mu.Unlock()
 	if settled {
-		// A queued/parked job has no worker to run its settlement: drop
-		// the spool entry here, mirroring runJob's cancel path.
-		s.jobSettled(j)
+		// A queued/parked job has no worker to settle it: drop its spool
+		// entry here, as runJob does, so a restart does not run it again.
+		s.removeSpool(j.ID)
 	}
 	return nil
 }
@@ -288,6 +293,8 @@ func (s *Supervisor) Stats() Stats {
 		Crashes:   s.crashes.Load(),
 		Evicted:   s.evicted.Load(),
 		Draining:  s.draining.Load(),
+
+		SpoolSkipped: s.spoolSkipped.Load(),
 
 		ThetaHits:   thetaHits,
 		ThetaMisses: thetaMisses,
@@ -427,7 +434,8 @@ func (s *Supervisor) runJob(worker int, j *Job) {
 		j.finish(StateFailed)
 		j.mu.Unlock()
 	}
-	s.jobSettled(j)
+	// A settled job's spool entry goes, so a restart does not run it again.
+	s.removeSpool(j.ID)
 }
 
 // requeue re-admits a preempted job. It must not touch s.mu while holding
@@ -566,12 +574,6 @@ func (s *jobSink) handOff() {
 		s.stream.Write(s.buf)
 		s.buf = s.buf[:0]
 	}
-}
-
-// jobSettled runs after a job reaches a terminal state: its spool entry
-// (if any) is deleted, so a restart does not run the job again.
-func (s *Supervisor) jobSettled(j *Job) {
-	s.removeSpool(j.ID)
 }
 
 // preemptMonitor implements elastic preemption: while work is queued, a

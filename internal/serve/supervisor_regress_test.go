@@ -131,13 +131,19 @@ func TestStatsDuringRetriesAndPreemptionNoDeadlock(t *testing.T) {
 	// Stats() (s.mu → j.mu) while preemptions drive requeues (j.mu, then
 	// the sequence allocator) concurrently. Two jobs on one worker keep
 	// the queue non-empty, so the preempt monitor parks whichever runs;
-	// explicit Preempt calls add more. Before the fix this wedged the
-	// whole supervisor; now it must settle within the deadline.
-	sup := newTestSupervisor(t, Config{
+	// explicit Preempt calls add more. A requeue that takes s.mu under
+	// j.mu wedges the supervisor within a few preemptions; the test then
+	// fails at its deadline with every goroutine's stack. Only the
+	// deadline wait runs on the test goroutine: it neither waits for the
+	// wedged poller and preempter nor drains the wedged supervisor.
+	sup, err := NewSupervisor(Config{
 		Workers:      1,
 		FrozenClock:  true,
 		PreemptAfter: 10 * time.Millisecond,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var jobs []*Job
 	for _, seed := range []uint64{950, 951} {
 		spec := chaosSpec(seed)
@@ -148,9 +154,10 @@ func TestStatsDuringRetriesAndPreemptionNoDeadlock(t *testing.T) {
 		}
 		jobs = append(jobs, j)
 	}
+	deadline := after(t, 20*time.Second)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(1)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for {
@@ -162,24 +169,28 @@ func TestStatsDuringRetriesAndPreemptionNoDeadlock(t *testing.T) {
 			}
 		}
 	}()
-	for round := 0; round < 5; round++ {
-		for _, j := range jobs {
-			//nolint:errcheck — the job may settle concurrently
-			sup.Preempt(j.ID)
+	go func() {
+		defer wg.Done()
+		for round := 0; round < 5; round++ {
+			for _, j := range jobs {
+				//nolint:errcheck — the job may settle concurrently
+				sup.Preempt(j.ID)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	}()
 	for _, j := range jobs {
 		select {
 		case <-j.Done():
-		case <-after(t, 60*time.Second):
-			close(stop)
-			wg.Wait()
-			t.Fatalf("supervisor wedged: job stuck in %s while Stats was polled", j.State())
+		case <-deadline:
+			t.Fatalf("supervisor wedged: job %s not settled after 20 s while Stats was polled\n%s", j.ID, goroutineDump())
 		}
 	}
 	close(stop)
 	wg.Wait()
+	if err := sup.Drain(); err != nil {
+		t.Fatal(err)
+	}
 	for _, j := range jobs {
 		if st := j.State(); st != StateDone {
 			t.Fatalf("job ended %s, want done", st)
@@ -191,9 +202,10 @@ func TestStatsDuringRetriesAndPreemptionNoDeadlock(t *testing.T) {
 }
 
 // TestDrainLeavesNoTimersOrGoroutines: a drained supervisor must not
-// leave its workers, janitor or preempt monitor behind — the goroutine
-// lifecycle shape golife enforces statically. The drain lands while a
-// job runs, so a worker has to park it on the way out.
+// leave its workers, janitor or preempt monitor behind. The drain lands
+// while a job runs, so a worker has to park it on the way out. A loop
+// with no stop case keeps Drain waiting on it forever, so Drain runs
+// under a deadline.
 func TestDrainLeavesNoTimersOrGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	sup, err := NewSupervisor(Config{Workers: 2, PreemptAfter: time.Minute})
@@ -205,8 +217,15 @@ func TestDrainLeavesNoTimersOrGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, j, StateRunning)
-	if err := sup.Drain(); err != nil {
-		t.Fatal(err)
+	drained := make(chan error, 1)
+	go func() { drained <- sup.Drain() }()
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-after(t, 10*time.Second):
+		t.Fatalf("Drain not done after 10 s: a supervisor goroutine ignores the stop signal\n%s", goroutineDump())
 	}
 	if st := j.State(); st != StateParked {
 		t.Errorf("drained job is %s, want parked", st)

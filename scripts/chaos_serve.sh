@@ -10,6 +10,9 @@
 #   - canceling a preempted job that waits with its checkpoint, and
 #     resubmitting failed and canceled (tombstoned) specs
 #   - drain/spool/restart cycles, including a corrupt spooled checkpoint
+#     and jobs canceled after re-admission from the spool
+#   - Stats polled while preemptions drive requeues (the s.mu -> j.mu
+#     lock order; a wedge fails at a deadline with a goroutine dump)
 #   - slow clients and mid-stream disconnects on the streaming path
 #   - jobs carrying injected fault schedules
 #   - a job parked and a job panicking with records still gathered for
@@ -29,9 +32,9 @@ cd "$(dirname "$0")/.."
 echo "chaos-serve: in-process chaos suite (race detector on)"
 go test -race -count=1 -timeout 300s -run 'TestChaos' ./internal/serve/
 
-echo "chaos-serve: queue/supervisor robustness (shed, panic, cancel, tombstones, drain, corrupt spool, park mid-chunk)"
+echo "chaos-serve: queue/supervisor robustness (shed, panic, cancel, tombstones, drain, spool restarts, park mid-chunk, lock order)"
 go test -race -count=1 -timeout 300s \
-  -run 'TestQueue|TestPanicFailsJobWorkerSurvives|TestCancelRunningJob|TestCancelParkedJobDropsCheckpoint|TestResubmitAfterTombstoneRunsFresh|TestLoadShedding|TestDrainSpoolsAndRestartResumes|TestSpoolCorruptCheckpointRunsFresh|TestParkMidChunkResumesByteIdentical' \
+  -run 'TestQueue|TestPanicFailsJobWorkerSurvives|TestCancelRunningJob|TestCancelParkedJobDropsCheckpoint|TestResubmitAfterTombstoneRunsFresh|TestLoadShedding|TestDrainSpoolsAndRestartResumes|TestSpoolCorruptCheckpointRunsFresh|TestCancelSpooledJobStaysCanceledAfterRestart|TestStatsDuringRetriesAndPreemptionNoDeadlock|TestParkMidChunkResumesByteIdentical' \
   ./internal/serve/
 
 echo "chaos-serve: process-level SIGTERM drain + spool restart"
