@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test race vet fmt-check lint lint-json alloc-gate sanitize fuzz chaos chaos-serve verify bench bench-baseline
+.PHONY: build test race vet fmt-check lint lint-json alloc-gate sanitize fuzz chaos chaos-serve verify bench
 
 build:
 	$(GO) build ./...
@@ -82,8 +82,3 @@ verify: vet fmt-check lint test race sanitize chaos chaos-serve
 # Quick runner benchmark (3 iterations, telemetry off vs. on).
 bench:
 	$(GO) test -bench 'BenchmarkRunner' -benchtime 3x -run '^$$' ./internal/sim/
-
-# Regenerate the committed performance baseline (with the paired
-# cache-disabled control and allocation columns) and validate it.
-bench-baseline:
-	./scripts/bench_baseline.sh

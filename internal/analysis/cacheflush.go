@@ -7,9 +7,7 @@ package analysis
 // every path to return serves stale physics. Rules come from
 // Config.Cacheflush.Rules: each names a type (base name or full
 // "importpath.Name"), the fields whose mutation invalidates the cache,
-// and the flush callees that rebuild it. An empty flush list declares
-// the fields frozen after construction (the Mesh geometry case: NewMesh
-// rasterises the domain once, and nothing may move a node afterwards).
+// and the flush callees that rebuild it.
 //
 // Exemptions: mutations inside a function named in the flush list (the
 // flush routine rebuilds the fields it owns), and mutations through a
@@ -138,17 +136,12 @@ func reportUnflushed(pass *Pass, fd *ast.FuncDecl, cfg **CFG, stmt ast.Stmt, sel
 	if freshLocalRoot(pass, fd, sel) {
 		return // constructor idiom: no cache exists yet
 	}
-	field := r.Type + "." + sel.Sel.Name
-	if len(r.Flush) == 0 {
-		pass.Reportf(sel.Pos(), "%s is frozen after construction (its caches never invalidate); mutation outside a constructor", field)
-		return
-	}
 	if *cfg == nil {
 		*cfg = BuildCFG(fd)
 	}
 	if !flushPostdominates(*cfg, stmt, r.Flush) {
-		pass.Reportf(sel.Pos(), "mutation of %s is not followed by %s on every path to return",
-			field, strings.Join(r.Flush, "/"))
+		pass.Reportf(sel.Pos(), "mutation of %s.%s is not followed by %s on every path to return",
+			r.Type, sel.Sel.Name, strings.Join(r.Flush, "/"))
 	}
 }
 

@@ -84,8 +84,7 @@ type Config struct {
 // cacheflush pass: mutating any of Fields on a value of Type must be
 // followed by a call to one of the Flush callees on every path to
 // return. Type is a named type's base name, or "importpath.Name" to pin
-// the package. An empty Flush list declares the fields frozen after
-// construction.
+// the package.
 type CacheflushRule struct {
 	Type   string
 	Fields []string
@@ -120,9 +119,6 @@ func DefaultConfig() *Config {
 	c.Cacheflush.Rules = []CacheflushRule{
 		{Type: "Network", Fields: []string{"pathR", "conc"}, Flush: []string{"rebuildPaths"}},
 		{Type: "Regulator", Fields: []string{"Pos"}, Flush: []string{"rebuildPaths"}},
-		// Mesh geometry is frozen: NewMesh rasterises the domain once and
-		// every Solve assembles its nodal matrix from it.
-		{Type: "Mesh", Fields: []string{"nodeBlock", "blockNodes", "vrNode", "nx", "ny", "x0", "y0"}, Flush: nil},
 	}
 	c.Tgsync.Packages = []string{"serve", "sim", "experiments"}
 	c.Tgsync.Blocking = []string{"os", "net", "io", "bufio"}

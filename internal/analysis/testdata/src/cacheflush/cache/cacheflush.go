@@ -1,7 +1,6 @@
 // Package cache is a tglint fixture for the cacheflush pass. The type
 // names match the default rules by base name: Network{pathR, conc} and
-// Regulator{Pos} must flush with rebuildPaths, Mesh geometry is frozen
-// after construction.
+// Regulator{Pos} must flush with rebuildPaths.
 package cache
 
 type Network struct {
@@ -69,22 +68,4 @@ func (n *Network) moveRegOK(r *Regulator, pos int) {
 // moveRegBad strands every cache keyed on the old position.
 func moveRegBad(r *Regulator, pos int) {
 	r.Pos = pos // want "not followed by rebuildPaths"
-}
-
-type Mesh struct {
-	nx, ny int
-	vrNode []int
-}
-
-// NewMesh may initialize geometry: the receiver-to-be is a fresh local.
-func NewMesh(nx, ny int) *Mesh {
-	m := &Mesh{vrNode: make([]int, nx*ny)}
-	m.nx = nx
-	m.ny = ny
-	return m
-}
-
-// resize violates the frozen-after-construction rule.
-func (m *Mesh) resize(nx int) {
-	m.nx = nx // want "frozen after construction"
 }

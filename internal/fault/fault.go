@@ -232,9 +232,8 @@ func (s *Schedule) Validate() error {
 	return nil
 }
 
-// Empty reports whether the schedule carries no events (an armed-but-empty
-// schedule exercises the injection hooks without injecting anything, which
-// is what tgbench's overhead measurement uses).
+// Empty reports whether the schedule carries no events. sim.Runner builds
+// no injector for an empty schedule, so such a run takes the healthy path.
 func (s *Schedule) Empty() bool { return s == nil || len(s.Events) == 0 }
 
 // checkUnits verifies every event's Unit fits the given topology.

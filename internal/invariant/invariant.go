@@ -22,12 +22,12 @@
 //	go test -tags tgsan ./...
 //
 // Without the tag every check is an empty function the compiler inlines
-// away and Enabled is a false constant, so guarded blocks are eliminated —
-// production builds pay nothing (tgbench verifies this). Under the tag a
-// violation is reported with its epoch, substep and offending block/VR
-// index; the default handler panics, which makes the sanitizer the oracle
-// for the `testing.F` fuzz targets (see docs/INVARIANTS.md for the full
-// catalogue with paper references).
+// away and Enabled is a false constant, so the compiler eliminates every
+// `if invariant.Enabled` block — production builds pay nothing. Under the
+// tag a violation is reported with its epoch, substep and offending
+// block/VR index; the default handler panics, which makes the sanitizer
+// the oracle for the `testing.F` fuzz targets (see docs/INVARIANTS.md for
+// the full catalogue with paper references).
 package invariant
 
 import "fmt"

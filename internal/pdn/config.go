@@ -53,31 +53,6 @@ type Config struct {
 	// BurstRiseCycles and BurstDecayCycles shape a burst's current
 	// envelope inside transient windows.
 	BurstRiseCycles, BurstDecayCycles int
-	// MaskCacheSize bounds the per-domain LRU of per-mask effective
-	// resistances (see cache.go). Zero selects the default; a domain
-	// with R regulators has at most 2^R masks, so the default covers
-	// most of the masks a governor ever revisits. CacheDisabled turns
-	// the cache off entirely — every solve recomputes the effective
-	// resistances, which benchmarks use as the paired uncached control.
-	MaskCacheSize int
-}
-
-// CacheDisabled as a cache-size knob disables that cache: solves
-// recompute from the topology every time. Results are bit-identical to
-// the cached path (both sum regulators in ascending index order); only
-// the work repeats.
-const CacheDisabled = -1
-
-// defaultMaskCacheSize is the per-domain cache capacity used when
-// Config.MaskCacheSize is zero.
-const defaultMaskCacheSize = 32
-
-// maskCacheSize resolves the configured capacity, applying the default.
-func (c Config) maskCacheSize() int {
-	if c.MaskCacheSize == 0 {
-		return defaultMaskCacheSize
-	}
-	return c.MaskCacheSize
 }
 
 // DefaultConfig returns the grid calibrated against the paper's all-on
@@ -130,9 +105,6 @@ func (c Config) Validate() error {
 	}
 	if c.BurstRiseCycles <= 0 || c.BurstDecayCycles <= 0 {
 		return errors.New("pdn: burst envelope cycles must be positive")
-	}
-	if c.MaskCacheSize < CacheDisabled {
-		return errors.New("pdn: mask cache size must be non-negative (or CacheDisabled)")
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"thermogater/internal/floorplan"
 	"thermogater/internal/invariant"
@@ -22,19 +23,10 @@ type Network struct {
 	// conc[d][bi] is the concentration factor min(1, ServiceArea/area):
 	// the fraction of a block's current that stresses a single grid path.
 	conc [][]float64
-	// eff[d] caches, per active-VR mask, the per-block effective
-	// resistances of domain d. Unsynchronized: parallel callers must
-	// partition by domain (see cache.go). All nil when the cache is
-	// disabled; effFor then fills effScratch[d] instead.
-	eff        []*maskLRU[[]float64]
-	effScratch [][]float64
-	// effFree[d] is the preallocated slice pool the fill phase of eff[d]
-	// draws from: limit slices carved up front so effFor never allocates
-	// — below capacity a miss pops here, at capacity it recycles the
-	// evicted entry's backing. Flushed entries' slices are lost to the
-	// pool, so the first misses after a rebuild fall back to make
-	// (cold).
-	effFree [][][]float64
+	// memo[d] remembers domain d's last active mask and its per-block
+	// effective resistances. Unsynchronized: parallel callers must
+	// partition by domain (see cache.go).
+	memo []maskMemo
 }
 
 // NewNetwork precomputes the grid model for the chip.
@@ -47,22 +39,12 @@ func NewNetwork(chip *floorplan.Chip, cfg Config) (*Network, error) {
 	}
 	n := &Network{chip: chip, cfg: cfg}
 	n.pathR = make([][][]float64, len(chip.Domains))
-	n.eff = make([]*maskLRU[[]float64], len(chip.Domains))
-	n.effScratch = make([][]float64, len(chip.Domains))
-	n.effFree = make([][][]float64, len(chip.Domains))
-	for di := range n.eff {
-		if cfg.MaskCacheSize != CacheDisabled {
-			limit := cfg.maskCacheSize()
-			n.eff[di] = newMaskLRU[[]float64](limit)
-			nb := len(chip.Domains[di].Blocks)
-			backing := make([]float64, limit*nb)
-			free := make([][]float64, limit)
-			for s := range free {
-				free[s] = backing[s*nb : (s+1)*nb : (s+1)*nb]
-			}
-			n.effFree[di] = free
+	n.memo = make([]maskMemo, len(chip.Domains))
+	for di, d := range chip.Domains {
+		n.memo[di] = maskMemo{
+			mask: make([]bool, len(d.Regulators)),
+			effR: make([]float64, len(d.Blocks)),
 		}
-		n.effScratch[di] = make([]float64, len(chip.Domains[di].Blocks))
 	}
 	n.rebuildPaths()
 	return n, nil
@@ -71,11 +53,11 @@ func NewNetwork(chip *floorplan.Chip, cfg Config) (*Network, error) {
 // rebuildPaths recomputes all block→regulator path resistances; the
 // placement optimiser calls it after moving regulators. Moving a
 // regulator changes every effective resistance derived from the paths,
-// so this is the cache invalidation point: every per-mask cache entry
-// is flushed here (the cumulative hit/miss counters survive).
+// so this is the cache invalidation point: every domain's mask memo is
+// emptied here (the cumulative hit/miss counters survive).
 func (n *Network) rebuildPaths() {
-	for _, c := range n.eff {
-		c.flush()
+	for di := range n.memo {
+		n.memo[di].valid = false
 	}
 	n.conc = make([][]float64, len(n.chip.Domains))
 	for di := range n.chip.Domains {
@@ -139,51 +121,34 @@ func (n *Network) EffectiveResistance(domain, bi int, active []bool) float64 {
 }
 
 // effFor returns the per-block effective resistances of the domain for
-// the given active mask, cached by mask key. A miss computes each block
-// with EffectiveResistance — regulators summed in ascending index order
-// — so cached and freshly-computed values are bit-identical. The
-// returned slice is owned by the cache and valid only until the next
-// effFor call for the same domain: a later miss may recycle its backing
-// array for the evicted entry's replacement.
+// the given active mask. When the mask equals the domain's remembered
+// one it returns the memo; otherwise it recomputes each block into the
+// memo with EffectiveResistance — regulators summed in ascending index
+// order — so remembered and freshly-computed values are bit-identical.
+// The returned slice is owned by the memo and valid only until the next
+// effFor call for the same domain.
 func (n *Network) effFor(domain int, active []bool) []float64 {
-	d := &n.chip.Domains[domain]
-	if n.eff[domain] == nil { // cache disabled: recompute into scratch
-		effR := n.effScratch[domain]
-		for bi := range d.Blocks {
-			effR[bi] = n.EffectiveResistance(domain, bi, active)
-		}
-		return effR
+	m := &n.memo[domain]
+	if m.valid && slices.Equal(active, m.mask) {
+		m.stats.Hits++
+		return m.effR
 	}
-	key := MaskKey(active)
-	if effR, ok := n.eff[domain].get(key); ok {
-		return effR
+	m.stats.Misses++
+	for bi := range m.effR {
+		m.effR[bi] = n.EffectiveResistance(domain, bi, active)
 	}
-	effR, _ := n.eff[domain].evictIfFull()
-	if effR == nil {
-		if fl := n.effFree[domain]; len(fl) > 0 {
-			effR = fl[len(fl)-1]
-			n.effFree[domain] = fl[:len(fl)-1]
-		} else {
-			// Refill after a rebuild flush dropped the pooled slices;
-			// steady state never reaches this.
-			effR = make([]float64, len(d.Blocks))
-		}
-	}
-	for bi := range d.Blocks {
-		effR[bi] = n.EffectiveResistance(domain, bi, active)
-	}
-	n.eff[domain].put(key, effR)
-	return effR
+	m.mask = append(m.mask[:0], active...)
+	m.valid = true
+	return m.effR
 }
 
-// CacheStats returns the cumulative per-mask cache counters summed over
-// all domains.
+// CacheStats returns the cumulative mask-memo counters summed over all
+// domains.
 func (n *Network) CacheStats() CacheStats {
 	var total CacheStats
-	for _, c := range n.eff {
-		if c != nil {
-			total.add(c.stats)
-		}
+	for _, m := range n.memo {
+		total.Hits += m.stats.Hits
+		total.Misses += m.stats.Misses
 	}
 	return total
 }
@@ -219,7 +184,7 @@ func (n *Network) SteadyNoise(domain int, blockCurrent []float64, active []bool)
 // SteadyNoiseInto is SteadyNoise writing into a caller-owned profile,
 // reusing out.PerBlockPct when it has capacity. The simulator's pdn
 // phase calls this once per substep per domain; with the per-mask
-// resistance cache warm it allocates nothing.
+// resistance memo warm it allocates nothing.
 func (n *Network) SteadyNoiseInto(domain int, blockCurrent []float64, active []bool, out *DomainNoise) error {
 	d := &n.chip.Domains[domain]
 	if len(blockCurrent) != len(n.chip.Blocks) {

@@ -68,3 +68,64 @@ func TestOptimizePlacementValidation(t *testing.T) {
 		t.Error("short current vector accepted")
 	}
 }
+
+// TestOptimizePlacementLeavesNoStaleMemo: after the optimiser has moved
+// regulators, every domain's noise under the all-on mask and under one
+// gated mask must equal, bit for bit, that of a network built fresh on
+// the moved chip. A rebuildPaths that keeps the mask memo, or a move
+// evaluated without rebuilding the paths, shows up here: either the
+// solves read stale resistances or the optimiser never sees a move pay.
+func TestOptimizePlacementLeavesNoStaleMemo(t *testing.T) {
+	chip := floorplan.MustPOWER8()
+	n, err := NewNetwork(chip, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The uniform layout is already optimal under the even load, so
+	// concentrate current in one logic block to make moves pay.
+	cur := loadedCurrents(chip)
+	for i := range cur {
+		cur[i] *= 0.2
+	}
+	for _, b := range chip.Blocks {
+		if b.Kind == floorplan.Logic {
+			cur[b.ID] = 40
+			break
+		}
+	}
+	res, err := OptimizePlacement(n, cur, 0.5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Moves == 0 {
+		t.Fatal("optimiser accepted no move; the comparison below would not exercise a rebuild")
+	}
+	fresh, err := NewNetwork(chip, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for di := range chip.Domains {
+		gated := n.AllOnMask(di)
+		gated[0] = len(gated) == 1 // keep a lone regulator on
+		for _, mask := range [][]bool{n.AllOnMask(di), gated} {
+			got, err := n.SteadyNoise(di, cur, mask)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.SteadyNoise(di, cur, mask)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.MaxPct != want.MaxPct || got.MaxBlock != want.MaxBlock {
+				t.Fatalf("domain %d mask %v: optimised network %v@%d, fresh %v@%d",
+					di, mask, got.MaxPct, got.MaxBlock, want.MaxPct, want.MaxBlock)
+			}
+			for bi := range want.PerBlockPct {
+				if got.PerBlockPct[bi] != want.PerBlockPct[bi] {
+					t.Fatalf("domain %d mask %v block %d: optimised network %v, fresh %v",
+						di, mask, bi, got.PerBlockPct[bi], want.PerBlockPct[bi])
+				}
+			}
+		}
+	}
+}

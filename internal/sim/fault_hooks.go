@@ -13,9 +13,9 @@ import (
 
 // This file holds the Runner's fault-injection hooks: how an armed
 // fault.Injector reshapes the activity trace, the sensor readings and the
-// regulator gating path. Every hook is reached only when cfg.Faults is
-// non-nil and non-empty, so the healthy path is untouched (tgbench records
-// the overhead of the nil checks as FaultOverheadPct).
+// regulator gating path. The injector is built only when cfg.Faults is
+// non-nil and non-empty, and every hook sits behind a nil check on it, so
+// the healthy path pays one predictable branch per hook and nothing else.
 
 // advanceFaults moves the injector to the given epoch and refreshes the
 // per-domain degradation caches.

@@ -11,8 +11,8 @@ import (
 // This file holds the Runner's composite sanitizer checks — the contracts
 // that span more than one subsystem and therefore cannot live inside
 // thermal, pdn or vr. Every call site guards on invariant.Enabled, so in
-// the default (non-tgsan) build the constant-false branch and everything
-// behind it is eliminated; tgbench verifies the zero-overhead claim.
+// the default (non-tgsan) build, where Enabled is a false constant, the
+// compiler eliminates the branch and everything behind it.
 // The checks themselves reuse Runner-held scratch (sanScratch) on the
 // success path, so a sanitized run keeps the zero-allocation epoch.
 

@@ -49,7 +49,6 @@ type instruments struct {
 	watchdogRetries  *telemetry.Counter
 	maskCacheHit     *telemetry.Counter
 	maskCacheMiss    *telemetry.Counter
-	maskCacheEvict   *telemetry.Counter
 	epochWallMS      *telemetry.Histogram
 	maxTempC         *telemetry.Gauge
 	avgEta           *telemetry.Gauge
@@ -81,7 +80,6 @@ func newInstruments(reg *telemetry.Registry) *instruments {
 		watchdogRetries:  reg.Counter("thermal_watchdog_retries_total"),
 		maskCacheHit:     reg.Counter("pdn_mask_cache_total", telemetry.L("kind", "hit")),
 		maskCacheMiss:    reg.Counter("pdn_mask_cache_total", telemetry.L("kind", "miss")),
-		maskCacheEvict:   reg.Counter("pdn_mask_cache_total", telemetry.L("kind", "evict")),
 		epochWallMS:      reg.Histogram("epoch_wall_ms", []float64{0.5, 1, 2, 5, 10, 25, 50, 100}),
 		maxTempC:         reg.Gauge("run_max_temp_c"),
 		avgEta:           reg.Gauge("run_avg_eta"),
@@ -143,11 +141,9 @@ func (in *instruments) observeEpoch(r *Runner, ep *telemetry.Span, st epochStats
 	cs := r.grid.CacheStats()
 	dHit := int64(cs.Hits - in.prevMaskCache.Hits)
 	dMiss := int64(cs.Misses - in.prevMaskCache.Misses)
-	dEvict := int64(cs.Evictions - in.prevMaskCache.Evictions)
 	in.prevMaskCache = cs
 	in.maskCacheHit.Add(float64(dHit))
 	in.maskCacheMiss.Add(float64(dMiss))
-	in.maskCacheEvict.Add(float64(dEvict))
 	in.overrides.Add(float64(st.overrides))
 	in.epochWallMS.Observe(float64(ep.Total().Nanoseconds()) / 1e6)
 
