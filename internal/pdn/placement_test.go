@@ -6,13 +6,34 @@ import (
 	"thermogater/internal/floorplan"
 )
 
+// hotspotCurrents is the even load scaled to a fifth with 40 A in the
+// first logic block. The uniform layout is already optimal under the even
+// load (the optimiser accepts no move there), so the tests of what moves
+// do run under this load instead.
+func hotspotCurrents(chip *floorplan.Chip) []float64 {
+	cur := loadedCurrents(chip)
+	for i := range cur {
+		cur[i] *= 0.2
+	}
+	for _, b := range chip.Blocks {
+		if b.Kind == floorplan.Logic {
+			cur[b.ID] = 40
+			break
+		}
+	}
+	return cur
+}
+
 func TestOptimizePlacementImproves(t *testing.T) {
+	// Under the hotspot load the optimiser moves regulators. The moved
+	// layout, read by a network built fresh on the moved chip, must be
+	// what the optimiser reports and no noisier than the uniform one.
 	chip := floorplan.MustPOWER8()
 	n, err := NewNetwork(chip, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := loadedCurrents(chip)
+	cur := hotspotCurrents(chip)
 	uniform, err := UniformPlacementNoise(floorplan.MustPOWER8(), DefaultConfig(), cur)
 	if err != nil {
 		t.Fatal(err)
@@ -21,14 +42,39 @@ func TestOptimizePlacementImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FinalMaxPct > res.InitialMaxPct+1e-12 {
-		t.Errorf("optimisation worsened noise: %v -> %v", res.InitialMaxPct, res.FinalMaxPct)
+	if res.Moves == 0 {
+		t.Fatal("optimiser accepted no move under the hotspot load")
 	}
 	if res.InitialMaxPct != uniform {
 		t.Errorf("initial noise %v differs from uniform baseline %v", res.InitialMaxPct, uniform)
 	}
-	// Section 5: the uniform placement is within 0.4% (relative) of the
-	// optimal one — i.e. optimisation buys very little.
+	moved, err := UniformPlacementNoise(chip, DefaultConfig(), cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved != res.FinalMaxPct {
+		t.Errorf("optimiser reports final noise %v; a fresh network on the moved chip reads %v", res.FinalMaxPct, moved)
+	}
+	if moved > res.InitialMaxPct+1e-12 {
+		t.Errorf("optimisation worsened noise: %v -> %v", res.InitialMaxPct, moved)
+	}
+
+	// Section 5: under the even load the uniform placement is within 0.4%
+	// (relative) of the optimal one — i.e. optimisation buys very little.
+	chip = floorplan.MustPOWER8()
+	if n, err = NewNetwork(chip, DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	cur = loadedCurrents(chip)
+	if uniform, err = UniformPlacementNoise(floorplan.MustPOWER8(), DefaultConfig(), cur); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = OptimizePlacement(n, cur, 0.25, 6); err != nil {
+		t.Fatal(err)
+	}
+	if res.InitialMaxPct != uniform {
+		t.Errorf("even load: initial noise %v differs from uniform baseline %v", res.InitialMaxPct, uniform)
+	}
 	if rel := (uniform - res.FinalMaxPct) / uniform; rel > 0.05 {
 		t.Errorf("optimisation improved noise by %.1f%%; the uniform layout should already be near-optimal", 100*rel)
 	}
@@ -43,9 +89,12 @@ func TestOptimizePlacementKeepsRegulatorsInDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := loadedCurrents(chip)
-	if _, err := OptimizePlacement(n, cur, 0.5, 3); err != nil {
+	res, err := OptimizePlacement(n, hotspotCurrents(chip), 0.5, 3)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Moves == 0 {
+		t.Fatal("optimiser accepted no move; the domain check below would test the unmoved layout")
 	}
 	for _, r := range chip.Regulators {
 		if !chip.Domains[r.Domain].Bounds.Contains(r.Pos) {
@@ -81,18 +130,7 @@ func TestOptimizePlacementLeavesNoStaleMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The uniform layout is already optimal under the even load, so
-	// concentrate current in one logic block to make moves pay.
-	cur := loadedCurrents(chip)
-	for i := range cur {
-		cur[i] *= 0.2
-	}
-	for _, b := range chip.Blocks {
-		if b.Kind == floorplan.Logic {
-			cur[b.ID] = 40
-			break
-		}
-	}
+	cur := hotspotCurrents(chip)
 	res, err := OptimizePlacement(n, cur, 0.5, 3)
 	if err != nil {
 		t.Fatal(err)

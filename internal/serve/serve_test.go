@@ -713,3 +713,35 @@ func TestSupervisorSharesThetaFits(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsCountSteadyStarts: two jobs of one benchmark and one on-chip
+// policy with different seeds start from the same steady-state field, so
+// the second is answered from the thermal memo. /stats reports the memo's
+// process-wide counts; earlier tests in this process may have stored the
+// first job's field already, so only the second job's hit is asserted.
+func TestStatsCountSteadyStarts(t *testing.T) {
+	sup := newTestSupervisor(t, Config{Workers: 1, FrozenClock: true})
+	ts := httptest.NewServer(NewServer(sup))
+	defer ts.Close()
+	var before Stats
+	for i, seed := range []uint64{51, 52} {
+		j, _, err := sup.Submit(JobSpec{Policy: "all-on", Benchmark: "radix", Seed: seed, DurationMS: 40, WarmupEpochs: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, j, StateDone)
+		var raw map[string]any
+		getJSON(t, ts.URL+"/stats", http.StatusOK, &raw)
+		for _, key := range []string{"steady_hits", "steady_misses"} {
+			if _, ok := raw[key]; !ok {
+				t.Fatalf("/stats has no %q: %v", key, raw)
+			}
+		}
+		st := sup.Stats()
+		if i == 1 && (st.SteadyHits != before.SteadyHits+1 || st.SteadyMisses != before.SteadyMisses) {
+			t.Fatalf("second job moved steady_hits %d → %d, steady_misses %d → %d; want one hit",
+				before.SteadyHits, st.SteadyHits, before.SteadyMisses, st.SteadyMisses)
+		}
+		before = st
+	}
+}

@@ -11,6 +11,7 @@ import (
 
 	"thermogater/internal/sim"
 	"thermogater/internal/telemetry"
+	"thermogater/internal/thermal"
 )
 
 // ErrDraining reports a submission against a supervisor that is shutting
@@ -111,6 +112,13 @@ type Stats struct {
 	// from the supervisor's sim.ThetaMemo and those that profiled afresh.
 	ThetaHits   int64 `json:"theta_hits"`
 	ThetaMisses int64 `json:"theta_misses"`
+	// SteadyHits and SteadyMisses count the steady-state solves in this
+	// process, jobs' starting fields among them, that came from the
+	// thermal package's memo and those that iterated. They are
+	// process-wide: the memo is shared by everything in the process that
+	// calls thermal.Model.SteadyState, not owned by the supervisor.
+	SteadyHits   int64 `json:"steady_hits"`
+	SteadyMisses int64 `json:"steady_misses"`
 }
 
 // Supervisor owns the job table, the queue and the worker pool. One
@@ -280,6 +288,7 @@ func (s *Supervisor) Stats() Stats {
 	}
 	s.mu.Unlock()
 	thetaHits, thetaMisses := s.theta.Stats()
+	steadyHits, steadyMisses := thermal.SteadyMemoStats()
 	return Stats{
 		Queued:    s.q.Len(),
 		Running:   running,
@@ -298,6 +307,9 @@ func (s *Supervisor) Stats() Stats {
 
 		ThetaHits:   thetaHits,
 		ThetaMisses: thetaMisses,
+
+		SteadyHits:   steadyHits,
+		SteadyMisses: steadyMisses,
 	}
 }
 

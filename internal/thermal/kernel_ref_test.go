@@ -2,12 +2,14 @@ package thermal
 
 // Bit-identity tests for the rewritten thermal kernels. Each test keeps a
 // verbatim copy of the kernel as it stood before the rewrite (stepCapped's
-// nested CSR sweep, the watchdog's per-node health test, and the separate
-// MaxTemp and Gradient scans) and requires the current code to agree with
-// it bit for bit. A rewrite of a hot kernel must keep every bit: the sim
+// nested CSR sweep, SteadyState's Gauss-Seidel loop over the nested edge
+// slices, the watchdog's per-node health test, and the separate MaxTemp
+// and Gradient scans) and requires the current code to agree with it bit
+// for bit. A rewrite of a hot kernel must keep every bit: the sim
 // goldens and the rendered artefacts hash these values.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -50,6 +52,49 @@ func refStepCapped(m *Model, delta []float64, dtS, capS float64) error {
 		}
 	}
 	return nil
+}
+
+// refSteadyState is SteadyState as it stood before the CSR rewrite and
+// the memo, verbatim apart from its receiver and the nested adjacency it
+// takes as an argument (the Model no longer keeps one).
+func refSteadyState(m *Model, adj [][]edge, tolC float64, maxIter int) (int, error) {
+	if tolC <= 0 {
+		return 0, errors.New("thermal: non-positive tolerance")
+	}
+	if maxIter <= 0 {
+		maxIter = 20000
+	}
+	for it := 1; it <= maxIter; it++ {
+		var maxDelta float64
+		for i := 0; i < m.nNodes; i++ {
+			num := m.power[i] + m.ambientG[i]*m.cfg.AmbientC
+			for _, e := range adj[i] {
+				num += e.g * m.temp[e.to]
+			}
+			tNew := num / m.sumG[i]
+			if d := math.Abs(tNew - m.temp[i]); d > maxDelta {
+				maxDelta = d
+			}
+			m.temp[i] = tNew
+		}
+		if maxDelta < tolC {
+			return it, nil
+		}
+	}
+	return maxIter, errors.New("thermal: steady state did not converge")
+}
+
+// nestedAdj unflattens the model's CSR arrays into per-node edge slices.
+// cacheRates flattens NewModel's adjacency row by row in order, so this is
+// the adjacency the pre-rewrite model kept.
+func nestedAdj(m *Model) [][]edge {
+	adj := make([][]edge, m.nNodes)
+	for i := range adj {
+		for k := m.rowStart[i]; k < m.rowStart[i+1]; k++ {
+			adj[i] = append(adj[i], edge{to: int(m.flatTo[k]), g: m.flatG[k]})
+		}
+	}
+	return adj
 }
 
 // refHealthy is the pre-rewrite Watchdog.healthy, verbatim.
@@ -176,6 +221,55 @@ func TestStepCappedMatchesReference(t *testing.T) {
 	}
 	if m.substeps-before < 2 {
 		t.Fatalf("Step(1e-3) took %d substeps; the multi-substep path is untested", m.substeps-before)
+	}
+}
+
+// TestSteadyStateMatchesReference solves seeded random power maps from
+// three kinds of starting field (ambient, a uniform 60 °C and a random
+// one) at three tolerances, plus a budget too small to converge, with the
+// memo emptied first so SteadyState really iterates. The field, the
+// iteration count and the error must agree with the reference.
+func TestSteadyStateMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := workload.NewRNG(seed)
+		for start := 0; start < 3; start++ {
+			for _, c := range []struct {
+				tolC    float64
+				maxIter int
+			}{{1e-2, 0}, {1e-4, 0}, {1e-7, 0}, {1e-4, 7}} {
+				got, want := newModel(t), newModel(t)
+				randomPowers(t, rng, got, want)
+				switch start {
+				case 1:
+					got.Reset(60)
+					want.Reset(60)
+				case 2:
+					for i := range got.temp {
+						got.temp[i] = 45 + 40*rng.Float64()
+						want.temp[i] = got.temp[i]
+					}
+				}
+				steadyMemo.reset()
+				gotIt, gotErr := got.SteadyState(c.tolC, c.maxIter)
+				wantIt, wantErr := refSteadyState(want, nestedAdj(want), c.tolC, c.maxIter)
+				label := fmt.Sprintf("seed %d start %d tol %g maxIter %d", seed, start, c.tolC, c.maxIter)
+				if (gotErr == nil) != (wantErr == nil) {
+					t.Fatalf("%s: error %v, reference %v", label, gotErr, wantErr)
+				}
+				if (wantErr != nil) != (c.maxIter == 7) {
+					t.Fatalf("%s: reference error %v; only the 7-sweep budget should fail", label, wantErr)
+				}
+				if gotIt != wantIt {
+					t.Fatalf("%s: %d iterations, reference %d", label, gotIt, wantIt)
+				}
+				if i := firstBitDiff(got.temp, want.temp); i >= 0 {
+					t.Fatalf("%s node %d: %v, reference %v", label, i, got.temp[i], want.temp[i])
+				}
+				if _, misses := SteadyMemoStats(); misses != 1 {
+					t.Fatalf("%s: %d memo misses after an emptied memo, want 1", label, misses)
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math"
@@ -29,7 +30,6 @@ type Model struct {
 	spread0 int
 	vrNames []string // "vr<r>@<nearest block>", prebuilt so MaxTemp never formats
 
-	adj      [][]edge
 	capJPerK []float64
 	ambientG []float64 // conductance to fixed ambient (sink only)
 	power    []float64 // W injected per node
@@ -39,14 +39,20 @@ type Model struct {
 	maxRate float64   // max over nodes of ΣG/C, 1/s
 	delta   []float64 // scratch buffer for Step
 
-	// CSR flattening of adj, rebuilt by cacheRates: the neighbours of
-	// node i are flatTo[rowStart[i]:rowStart[i+1]] with conductances
-	// flatG at the same offsets, in adj order — so the flat sweep in
-	// stepCapped sums in exactly the order the nested loop did and the
-	// temperatures stay bit-identical.
+	// The network in CSR form, built once by cacheRates: the neighbours
+	// of node i are flatTo[rowStart[i]:rowStart[i+1]] with conductances
+	// flatG at the same offsets, in the order NewModel linked them — the
+	// order the nested per-node edge slices had, so the sweeps sum
+	// exactly as the nested loops did and every bit is kept.
 	rowStart []int32
 	flatTo   []int32
 	flatG    []float64
+
+	// netKey is the SHA-256 of the network part of the steady-state memo
+	// key (steadymemo.go), hashed on the first SteadyState call; netHashed
+	// says whether it has been.
+	netKey    [sha256.Size]byte
+	netHashed bool
 
 	substeps int64 // cumulative internal Euler substeps across all Step calls
 }
@@ -74,7 +80,11 @@ func NewModel(chip *floorplan.Chip, cfg Config) (*Model, error) {
 		m.vrNames[r] = fmt.Sprintf("vr%d@%s", r, chip.Blocks[chip.Regulators[r].NearestBlock].Name)
 	}
 
-	m.adj = make([][]edge, m.nNodes)
+	adj := make([][]edge, m.nNodes)
+	link := func(i, j int, g float64) {
+		adj[i] = append(adj[i], edge{to: j, g: g})
+		adj[j] = append(adj[j], edge{to: i, g: g})
+	}
 	m.capJPerK = make([]float64, m.nNodes)
 	m.ambientG = make([]float64, m.nNodes)
 	m.power = make([]float64, m.nNodes)
@@ -103,13 +113,13 @@ func NewModel(chip *floorplan.Chip, cfg Config) (*Model, error) {
 				return nil, fmt.Errorf("thermal: blocks %d and %d have coincident centers", i, j)
 			}
 			g := cfg.KSiWPerMMK * cfg.DieThicknessMM * shared / dist
-			m.link(i, j, g)
+			link(i, j, g)
 		}
 	}
 	// Vertical block→spreader, spreader→sink.
 	for i, b := range chip.Blocks {
-		m.link(i, m.spread0+i, cfg.GVertWPerKmm2*b.R.Area())
-		m.link(m.spread0+i, m.sink, cfg.GSpreaderSinkWPerKmm2*b.R.Area())
+		link(i, m.spread0+i, cfg.GVertWPerKmm2*b.R.Area())
+		link(m.spread0+i, m.sink, cfg.GSpreaderSinkWPerKmm2*b.R.Area())
 	}
 	// Lateral copper spreading between adjacent spreader nodes.
 	for i := 0; i < m.nBlocks; i++ {
@@ -124,7 +134,7 @@ func NewModel(chip *floorplan.Chip, cfg Config) (*Model, error) {
 				return nil, fmt.Errorf("thermal: blocks %d and %d have coincident centers", i, j)
 			}
 			g := cfg.KCuWPerMMK * cfg.SpreaderThicknessMM * shared / dist
-			m.link(m.spread0+i, m.spread0+j, g)
+			link(m.spread0+i, m.spread0+j, g)
 		}
 	}
 	// Regulator nodes couple to their host block.
@@ -133,33 +143,29 @@ func NewModel(chip *floorplan.Chip, cfg Config) (*Model, error) {
 		if host < 0 {
 			return nil, fmt.Errorf("thermal: regulator %d has no host block", r)
 		}
-		m.link(m.nBlocks+r, host, cfg.GRegulatorWPerK)
+		link(m.nBlocks+r, host, cfg.GRegulatorWPerK)
 	}
 	// Sink to ambient.
 	m.ambientG[m.sink] = 1 / cfg.SinkResKPerW
 
-	m.cacheRates()
+	m.cacheRates(adj)
 	m.Reset(cfg.AmbientC)
 	return m, nil
 }
 
-func (m *Model) link(i, j int, g float64) {
-	m.adj[i] = append(m.adj[i], edge{to: j, g: g})
-	m.adj[j] = append(m.adj[j], edge{to: i, g: g})
-}
-
-// cacheRates precomputes everything the transient sweep needs that does
-// not change between substeps, hotspot3D-style: the per-node conductance
-// sums and stability rate, and the CSR (flat structure-of-arrays) form
-// of the adjacency so stepCapped touches three dense arrays instead of
-// chasing per-node edge slices.
-func (m *Model) cacheRates() {
+// cacheRates precomputes everything the sweeps need that does not change
+// between substeps, hotspot3D-style: the per-node conductance sums and
+// stability rate, and the CSR (flat structure-of-arrays) form of NewModel's
+// adjacency, which is the model's only copy of its network, so stepCapped
+// and SteadyState touch three dense arrays instead of chasing per-node
+// edge slices.
+func (m *Model) cacheRates(adj [][]edge) {
 	m.sumG = make([]float64, m.nNodes)
 	m.maxRate = 0
 	nEdges := 0
-	for i := range m.adj {
+	for i := range adj {
 		var s float64
-		for _, e := range m.adj[i] {
+		for _, e := range adj[i] {
 			s += e.g
 		}
 		s += m.ambientG[i]
@@ -167,15 +173,15 @@ func (m *Model) cacheRates() {
 		if r := s / m.capJPerK[i]; r > m.maxRate {
 			m.maxRate = r
 		}
-		nEdges += len(m.adj[i])
+		nEdges += len(adj[i])
 	}
 	m.rowStart = make([]int32, m.nNodes+1)
 	m.flatTo = make([]int32, nEdges)
 	m.flatG = make([]float64, nEdges)
 	k := 0
-	for i := range m.adj {
+	for i := range adj {
 		m.rowStart[i] = int32(k)
-		for _, e := range m.adj[i] {
+		for _, e := range adj[i] {
 			m.flatTo[k] = int32(e.to)
 			m.flatG[k] = e.g
 			k++
@@ -200,12 +206,30 @@ func (m *Model) Reset(tempC float64) {
 // SetPower installs the heat inputs for the next integration interval:
 // blockPower holds total (dynamic + static) watts per functional block,
 // vrPower the conversion loss of each regulator (zero for gated ones).
+// It runs validatePowers' checks, with the same errors, inside the copy,
+// so the vectors are read once per substep. A rejected map may be partly
+// installed; every caller fails its run on the error.
 func (m *Model) SetPower(blockPower, vrPower []float64) error {
-	if err := validatePowers(blockPower, vrPower, m.nBlocks, m.nVRs); err != nil {
-		return err
+	if len(blockPower) != m.nBlocks {
+		return fmt.Errorf("thermal: %d block powers, chip has %d blocks", len(blockPower), m.nBlocks)
 	}
-	copy(m.power, blockPower)
-	copy(m.power[m.nBlocks:], vrPower)
+	if len(vrPower) != m.nVRs {
+		return fmt.Errorf("thermal: %d regulator powers, chip has %d regulators", len(vrPower), m.nVRs)
+	}
+	bp := m.power[:len(blockPower)]
+	for i, p := range blockPower {
+		if p < 0 || math.IsNaN(p) {
+			return fmt.Errorf("thermal: block %d power %v invalid", i, p)
+		}
+		bp[i] = p
+	}
+	vp := m.power[m.nBlocks : m.nBlocks+len(vrPower)]
+	for r, p := range vrPower {
+		if p < 0 || math.IsNaN(p) {
+			return fmt.Errorf("thermal: regulator %d power %v invalid", r, p)
+		}
+		vp[r] = p
+	}
 	return nil
 }
 
@@ -324,8 +348,12 @@ func (m *Model) Restore(s *State) error {
 }
 
 // SteadyState relaxes the network to its equilibrium for the currently
-// installed power map, using Gauss-Seidel iteration to the given absolute
-// tolerance (°C). It returns the iteration count used.
+// installed power map, using Gauss-Seidel iteration from the current field
+// to the given absolute tolerance (°C). It returns the iteration count used.
+// A converged solve is remembered process-wide (steadymemo.go): a later call
+// on any Model with the same network, power map, starting field, tolerance
+// and iteration budget copies the stored field and count instead of
+// iterating, which gives the same bits as solving again.
 func (m *Model) SteadyState(tolC float64, maxIter int) (int, error) {
 	if tolC <= 0 {
 		return 0, errors.New("thermal: non-positive tolerance")
@@ -333,23 +361,48 @@ func (m *Model) SteadyState(tolC float64, maxIter int) (int, error) {
 	if maxIter <= 0 {
 		maxIter = 20000
 	}
+	key := m.steadyKey(tolC, maxIter)
+	it, ok := steadyMemo.lookup(key, m.temp)
+	if !ok {
+		var err error
+		if it, err = m.gaussSeidel(tolC, maxIter); err != nil {
+			return it, err
+		}
+		steadyMemo.store(key, m.temp, it)
+	}
+	if invariant.Enabled {
+		invariant.CheckTempBounds("thermal.Model.temp", m.temp, m.cfg.AmbientC, math.Inf(1))
+	}
+	return it, nil
+}
+
+// gaussSeidel is SteadyState's solve: in-place sweeps over the CSR arrays,
+// each node taking its neighbours' newest values, until no node moves by
+// tolC or more. The edge order is NewModel's link order, so the sums are
+// those of the nested per-node loop this replaced, bit for bit.
+func (m *Model) gaussSeidel(tolC float64, maxIter int) (int, error) {
+	n := m.nNodes
+	temp := m.temp[:n]
+	pw := m.power[:n]
+	amb := m.ambientG[:n]
+	sumG := m.sumG[:n]
+	rowStart := m.rowStart[:n+1]
+	flatTo, flatG := m.flatTo, m.flatG[:len(m.flatTo)]
+	ambC := m.cfg.AmbientC
 	for it := 1; it <= maxIter; it++ {
 		var maxDelta float64
-		for i := 0; i < m.nNodes; i++ {
-			num := m.power[i] + m.ambientG[i]*m.cfg.AmbientC
-			for _, e := range m.adj[i] {
-				num += e.g * m.temp[e.to]
+		for i := range temp {
+			num := pw[i] + amb[i]*ambC
+			for k := rowStart[i]; k < rowStart[i+1]; k++ {
+				num += flatG[k] * temp[flatTo[k]]
 			}
-			tNew := num / m.sumG[i]
-			if d := math.Abs(tNew - m.temp[i]); d > maxDelta {
+			tNew := num / sumG[i]
+			if d := math.Abs(tNew - temp[i]); d > maxDelta {
 				maxDelta = d
 			}
-			m.temp[i] = tNew
+			temp[i] = tNew
 		}
 		if maxDelta < tolC {
-			if invariant.Enabled {
-				invariant.CheckTempBounds("thermal.Model.temp", m.temp, m.cfg.AmbientC, math.Inf(1))
-			}
 			return it, nil
 		}
 	}

@@ -5,8 +5,9 @@ import (
 	"math"
 )
 
-// validatePowers is the shared power-map validation both the compact Model
-// and the GridModel run before installing heat inputs: the block and
+// validatePowers is the power-map validation the GridModel runs before
+// installing heat inputs (the compact Model's SetPower makes the same
+// checks inside its copy, with the same errors): the block and
 // regulator vectors must match the chip, and every entry must be a
 // non-negative real watt figure. A negative or NaN power is a sign error
 // upstream that would silently corrupt the temperature field.
